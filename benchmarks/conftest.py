@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one of the paper's tables or figures (or an
 ablation the paper motivates), prints the rows/series it produced, and
-saves the same text under ``benchmarks/results/`` so the numbers recorded
-in EXPERIMENTS.md can be re-derived.
+saves the same text under ``benchmarks/results/`` so the committed
+numbers can be re-derived.  Tables of host wall-clock times are only
+printed: saving them would rewrite tracked files on every run.
 """
 
 from __future__ import annotations
@@ -34,12 +35,21 @@ ABLATION_BFS_NODES = 2048
 ABLATION_BFS_DEGREE = 8
 
 
+def print_table(text: str) -> None:
+    """Print a result table without saving it.
+
+    For tables of host wall-clock times: they differ on every run, so a
+    tracked copy would change whenever the benchmarks run.
+    """
+    print()
+    print(text)
+
+
 def save_and_print(name: str, text: str) -> None:
     """Print a result table and persist it under ``benchmarks/results``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print()
-    print(text)
+    print_table(text)
 
 
 def sum_stat(stats: dict, suffix: str) -> float:

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import BENCH_JOBS, save_and_print
+from benchmarks.conftest import BENCH_JOBS, print_table, save_and_print
 from repro.analysis import atlas_metrics_table, format_atlas_report
 from repro.experiments import Experiment, Session
 from repro.sensitivity import LatencyToleranceAtlas
@@ -121,8 +121,7 @@ def test_microbench_atlas_parallel_matches_serial(benchmark):
             "speedup": f"{serial_seconds / parallel_seconds:.2f}x",
         },
     ]
-    save_and_print(
-        "microbench_atlas_parallel",
+    print_table(
         comparison_table(
             f"{len(ILP_ATLAS.values)}x{len(ILP_ATLAS.scales)} "
             f"microbench atlas: serial vs process-parallel "

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import BENCH_JOBS, run_experiments, save_and_print
+from benchmarks.conftest import BENCH_JOBS, print_table, run_experiments
 from repro.analysis import comparison_table
 from repro.experiments import Experiment
 
@@ -50,8 +50,7 @@ def test_parallel_grid_matches_serial(benchmark):
             "speedup": f"{serial_seconds / parallel_seconds:.2f}x",
         },
     ]
-    save_and_print(
-        "parallel_executor",
+    print_table(
         comparison_table(
             f"{len(GRID)}-point vecadd ablation grid: serial vs "
             f"process-parallel execution (byte-identical results)",

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import BENCH_JOBS, save_and_print
+from benchmarks.conftest import BENCH_JOBS, print_table, save_and_print
 from repro.analysis import comparison_table, metrics_summary, sensitivity_table
 from repro.experiments import Session
 from repro.sensitivity import SensitivityStudy
@@ -90,8 +90,7 @@ def test_sensitivity_parallel_matches_serial(benchmark):
             "speedup": f"{serial_seconds / parallel_seconds:.2f}x",
         },
     ]
-    save_and_print(
-        "sensitivity_parallel",
+    print_table(
         comparison_table(
             f"{len(PARALLEL_STUDY.scales)}-point BFS DRAM-latency sweep: "
             f"serial vs process-parallel (byte-identical results)",

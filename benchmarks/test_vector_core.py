@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import save_and_print
+from benchmarks.conftest import print_table, save_and_print
 from repro.analysis import comparison_table
 from repro.experiments import Session
 from repro.sensitivity import LatencyToleranceAtlas
@@ -78,8 +78,7 @@ def test_vector_atlas_matches_fast(benchmark):
             "speedup": f"{fast_seconds / vector_seconds:.2f}x",
         },
     ]
-    save_and_print(
-        "vector_core_atlas",
+    print_table(
         comparison_table(
             f"{len(VECTOR_ATLAS.values)}x{len(VECTOR_ATLAS.scales)} "
             f"ILP x DRAM-latency atlas (gf106): fast vs vector core "

@@ -88,8 +88,8 @@ resumable.  Every experiment subcommand also accepts ``--core NAME`` to
 pick the simulation-core backend (``repro cores`` lists them):
 ``reference``, ``fast``, and ``vector`` are byte-identical and share
 stored results; ``estimator`` trades exact cycle counts for speed and
-is stored separately.  The older ``--reference-core`` flag remains as a
-deprecated alias for ``--core reference``.
+is stored separately.  ``--core`` is the only command-line choice of
+core; without it each configuration's ``core_backend`` decides.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -124,7 +123,6 @@ from repro.simt.backend import (
     CORE_BACKENDS,
     available_core_backends,
     parse_core_spec,
-    resolve_reference_core,
 )
 from repro.sensitivity import (
     TRANSFORM_REGISTRY,
@@ -828,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
              "description) instead of a table")
     workloads.set_defaults(func=_cmd_workloads)
 
-    def add_reference_core_flag(subparser: argparse.ArgumentParser) -> None:
+    def add_core_flag(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--core", metavar="NAME[:KEY=VALUE,...]",
             help="simulation-core backend to run on, optionally with "
@@ -838,9 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "stored results, estimator is approximate and stored "
                  "separately (default: each configuration's own choice, "
                  "normally 'fast')")
-        subparser.add_argument(
-            "--reference-core", action="store_true",
-            help="deprecated alias for --core reference")
 
     def add_store_flag(subparser: argparse.ArgumentParser,
                        required: bool = False) -> None:
@@ -912,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full run record as JSON instead of the analyses")
     bundle_run.add_argument("--output",
                             help="save the run as a JSON run set")
-    add_reference_core_flag(bundle_run)
+    add_core_flag(bundle_run)
     add_store_flag(bundle_run)
     bundle_run.set_defaults(func=_cmd_bundle_run)
 
@@ -949,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--stride", type=int, default=128,
                         help="pointer-chase stride in bytes")
     table1.add_argument("--output", help="save results as a JSON run set")
-    add_reference_core_flag(table1)
+    add_core_flag(table1)
     add_store_flag(table1)
     table1.set_defaults(func=_cmd_table1)
 
@@ -968,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes to shard the sweeps across "
                             "(default: 1, serial)")
     sweep.add_argument("--output", help="save results as a JSON run set")
-    add_reference_core_flag(sweep)
+    add_core_flag(sweep)
     add_store_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -985,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "list the workload's valid parameters)")
     dynamic.add_argument("--buckets", type=int, default=24)
     dynamic.add_argument("--output", help="save results as a JSON run set")
-    add_reference_core_flag(dynamic)
+    add_core_flag(dynamic)
     add_store_flag(dynamic)
     dynamic.set_defaults(func=_cmd_dynamic)
 
@@ -998,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes to shard the experiments "
                           "across (default: 1, serial)")
     run.add_argument("--output", help="save results as a JSON run set")
-    add_reference_core_flag(run)
+    add_core_flag(run)
     add_store_flag(run)
     run.set_defaults(func=_cmd_run)
 
@@ -1045,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 1, serial)")
     sensitivity.add_argument(
         "--output", help="save the sensitivity result as JSON")
-    add_reference_core_flag(sensitivity)
+    add_core_flag(sensitivity)
     add_store_flag(sensitivity)
     sensitivity.set_defaults(func=_cmd_sensitivity)
 
@@ -1071,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
     microbench.add_argument("--output",
                             help="without --describe: save the run as a "
                                  "JSON run set")
-    add_reference_core_flag(microbench)
+    add_core_flag(microbench)
     add_store_flag(microbench)
     microbench.set_defaults(func=_cmd_microbench)
 
@@ -1110,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes to shard the whole 2-D grid across "
              "(default: 1, serial)")
     atlas.add_argument("--output", help="save the atlas result as JSON")
-    add_reference_core_flag(atlas)
+    add_core_flag(atlas)
     add_store_flag(atlas)
     atlas.set_defaults(func=_cmd_atlas)
 
@@ -1135,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full run record as JSON instead of the "
              "attribution table")
     scenario.add_argument("--output", help="save the run as a JSON run set")
-    add_reference_core_flag(scenario)
+    add_core_flag(scenario)
     add_store_flag(scenario)
     scenario.set_defaults(func=_cmd_scenario)
 
@@ -1159,7 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument("--output",
                        help="save the JSON report to a file (with or "
                             "without --json)")
-    add_reference_core_flag(smoke)
+    add_core_flag(smoke)
     add_store_flag(smoke)
     smoke.set_defaults(func=_cmd_smoke)
 
@@ -1191,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8023,
                        help="port to bind (default: 8023; 0 picks a free "
                             "port)")
-    add_reference_core_flag(serve)
+    add_core_flag(serve)
     serve.set_defaults(func=_cmd_serve)
     return parser
 
@@ -1234,26 +1229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             core, core_options = parse_core_spec(core_spec)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "reference_core", False):
-        conflict: Optional[ConfigurationError] = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                core = resolve_reference_core(
-                    core, True,
-                    owner="--reference-core",
-                    replacement="--core reference",
-                    conflict_error=ConfigurationError,
-                    stacklevel=2,
-                )
-            except ConfigurationError as exc:
-                conflict = exc
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
-        if conflict is not None:
-            print(f"error: --core {core} conflicts with --reference-core "
-                  f"({conflict})", file=sys.stderr)
             return 2
     try:
         _register_bundle_dirs(args.bundle_dir or [])

@@ -62,7 +62,6 @@ from typing import (
 from repro.experiments.results import RunRecord, RunSet, light_artifacts
 from repro.experiments.spec import Experiment
 from repro.gpu.config import GPUConfig
-from repro.simt.backend import resolve_reference_core
 from repro.utils.errors import ExperimentError
 
 #: The per-process session owned by each pool worker.  Module-level so the
@@ -158,12 +157,6 @@ class ParallelExecutor:
     core:
         Optional core-backend name propagated into every worker's
         session (see :class:`~repro.experiments.session.Session`).
-        ``core_backend=`` is accepted as an equivalent alias (matching
-        the :class:`GPUConfig` field name); passing both with different
-        values is an error.
-    reference_core:
-        **Deprecated** alias for ``core="reference"``; emits a
-        :class:`DeprecationWarning`.
     core_options:
         Backend-specific construction options propagated into every
         worker's session alongside ``core`` (see
@@ -174,25 +167,9 @@ class ParallelExecutor:
                  configs: Optional[Mapping[str, GPUConfig]] = None,
                  mp_context: Union[str, Any, None] = None,
                  core: Optional[str] = None,
-                 reference_core: bool = False,
-                 core_backend: Optional[str] = None,
                  core_options: Optional[Mapping[str, Any]] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if core_backend is not None:
-            if core is not None and core != core_backend:
-                raise ExperimentError(
-                    f"core={core!r} conflicts with "
-                    f"core_backend={core_backend!r}"
-                )
-            core = core_backend
-        core = resolve_reference_core(
-            core, reference_core,
-            owner="ParallelExecutor(reference_core=True)",
-            replacement="core='reference'",
-            conflict_error=ExperimentError,
-            stacklevel=3,
-        )
         self.jobs = jobs or default_jobs()
         self._configs = dict(configs or {})
         self._core = core

@@ -64,7 +64,6 @@ from repro.gpu import GPU, get_config, table_i_generations
 from repro.gpu.config import GPUConfig
 from repro.simt.backend import (
     core_backend_is_exact,
-    resolve_reference_core,
     validate_core_options,
 )
 from repro.utils.errors import ExperimentError
@@ -138,20 +137,13 @@ class Session:
         every configuration this session resolves runs on that backend;
         when ``None`` (the default) each configuration's own
         ``core_backend`` field decides.  This is the programmatic face
-        of the CLI's ``--core`` flag.  ``core_backend=`` is accepted as
-        an equivalent alias (matching the :class:`GPUConfig` field
-        name); passing both with different values is an error.
+        of the CLI's ``--core`` flag.
     core_options:
         Backend-specific options applied alongside ``core`` (the
         programmatic face of ``--core name:key=value``), e.g.
         ``Session(core="estimator", core_options={"time_quantum": 16})``.
         Keys are validated eagerly against the backend's declared
         options; requires ``core`` to be set.
-    reference_core:
-        **Deprecated** boolean predecessor of ``core``.
-        ``Session(reference_core=True)`` still works: it emits a
-        :class:`DeprecationWarning` and behaves exactly like
-        ``core="reference"``.
     store:
         Optional persistent result store: a
         :class:`~repro.store.ResultStore` instance, or a target string /
@@ -167,27 +159,9 @@ class Session:
     def __init__(self, cache: bool = True,
                  configs: Optional[Mapping[str, GPUConfig]] = None,
                  core: Optional[str] = None,
-                 reference_core: bool = False,
                  store: Union[None, str, os.PathLike, Any] = None,
-                 core_backend: Optional[str] = None,
                  core_options: Optional[Mapping[str, Any]] = None) -> None:
         self.cache_enabled = cache
-        if core_backend is not None:
-            # ``core_backend=`` is a first-class alias for ``core=`` so
-            # the Session spelling matches GPUConfig's field name.
-            if core is not None and core != core_backend:
-                raise ExperimentError(
-                    f"core={core!r} conflicts with "
-                    f"core_backend={core_backend!r}"
-                )
-            core = core_backend
-        core = resolve_reference_core(
-            core, reference_core,
-            owner="Session(reference_core=True)",
-            replacement="core='reference'",
-            conflict_error=ExperimentError,
-            stacklevel=3,
-        )
         self.core = core
         self.core_options: Dict[str, Any] = dict(core_options or {})
         if self.core_options:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional
 
 from repro.memory.address import AddressMapping
 from repro.memory.interconnect import InterconnectConfig
@@ -57,14 +57,13 @@ class GPUConfig:
     num_sms:
         Number of streaming multiprocessors.
     core:
-        Per-SM configuration (schedulers, pipelines, L1).  As a
-        convenience, a backend *name* string may be passed here
-        (``GPUConfig(core="vector")``); it is moved to
-        :attr:`core_backend` and the per-SM configuration falls back to
-        the :class:`CoreConfig` defaults.
+        Per-SM configuration (schedulers, pipelines, L1).
     core_backend:
         Name of the registered simulation-core backend that executes
-        this configuration's SMs (see :mod:`repro.simt.backend`).
+        this configuration's SMs (see :mod:`repro.simt.backend`).  This
+        is the one configuration-level choice of core;
+        ``Session(core=...)``, ``ParallelExecutor(core=...)`` and the
+        CLI's ``--core`` override it per run.
         Built-ins: ``"reference"`` (trusted straight-line loop),
         ``"fast"`` (event-skipping ready sets, the default),
         ``"vector"`` (NumPy batch core, byte-identical), and
@@ -95,33 +94,21 @@ class GPUConfig:
         Size of the functional global memory backing store.
     max_cycles:
         Safety limit on simulated cycles per kernel launch.
-    reference_core:
-        **Deprecated** boolean predecessor of :attr:`core_backend`.
-        ``GPUConfig(reference_core=True)`` still works: it emits a
-        :class:`DeprecationWarning` and normalizes to
-        ``core_backend="reference"`` (the stored field is reset to
-        ``False`` so reprs — and therefore store fingerprints — have a
-        single canonical form).  Use ``core_backend="reference"``.
     """
 
     name: str
     description: str = ""
     num_sms: int = 4
-    core: Union[CoreConfig, str] = field(default_factory=CoreConfig)
+    core: CoreConfig = field(default_factory=CoreConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
     mapping: AddressMapping = field(default_factory=AddressMapping)
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     global_memory_bytes: int = 64 * 1024 * 1024
     max_cycles: int = 50_000_000
     core_backend: str = "fast"
-    reference_core: bool = False
     core_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.core, str):
-            # GPUConfig(core="vector"): a backend name in the core slot.
-            object.__setattr__(self, "core_backend", self.core)
-            object.__setattr__(self, "core", CoreConfig())
         if not isinstance(self.core_backend, str) or not self.core_backend:
             raise ConfigurationError(
                 "core_backend must be a non-empty backend name (see "
@@ -153,21 +140,6 @@ class GPUConfig:
                 normalized = validate_core_options(self.core_backend,
                                                    normalized)
         object.__setattr__(self, "core_options", normalized)
-        if self.reference_core:
-            # Deferred import: repro.simt.backend is dependency-free, but
-            # keeping it out of the module header mirrors the lazy
-            # registry imports elsewhere in the config layer.
-            from repro.simt.backend import resolve_reference_core
-
-            resolve_reference_core(
-                None, True,
-                owner="GPUConfig(reference_core=True)",
-                replacement="core_backend='reference' "
-                            "(or core='reference')",
-                stacklevel=4,
-            )
-            object.__setattr__(self, "core_backend", "reference")
-            object.__setattr__(self, "reference_core", False)
         if self.num_sms < 1:
             raise ConfigurationError("num_sms must be >= 1")
         if self.global_memory_bytes < 1024:

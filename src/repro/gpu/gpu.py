@@ -183,7 +183,7 @@ class GPU:
             icnt_config=config.interconnect,
             partition_config=config.partition,
             tracker=self.tracker,
-            reference_core=backend.reference_memory,
+            reference_memory=backend.reference_memory,
         )
         self.sms: List[StreamingMultiprocessor] = [
             backend.factory(

@@ -32,7 +32,7 @@ _NEVER = float("inf")
 class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
-    Unless constructed with ``reference_core=True``, :meth:`cycle` skips
+    Unless constructed with ``reference_memory=True``, :meth:`cycle` skips
     its body entirely while the system is quiescent: after every
     processed cycle the earliest future cycle at which any component can
     change state is cached (via the same logic as
@@ -52,7 +52,7 @@ class MemorySystem:
         partition_config: PartitionConfig,
         tracker: LatencyTracker,
         reply_inject_per_cycle: int = 1,
-        reference_core: bool = False,
+        reference_memory: bool = False,
     ) -> None:
         if num_sms < 1:
             raise ConfigurationError("memory system needs at least one SM")
@@ -77,7 +77,7 @@ class MemorySystem:
             name="icnt_rep",
         )
         self.stats = StatCounters(prefix="memsys")
-        self.reference_core = reference_core
+        self.reference_memory = reference_memory
         self._wake: float = 0
         # Cached next_event_time enumeration.  Unlike ``_wake`` (the
         # body-skip guard, deliberately conservative-early after an
@@ -168,11 +168,11 @@ class MemorySystem:
     def cycle(self, now: int) -> None:
         """Advance the networks and all partitions by one cycle.
 
-        In fast mode (``reference_core=False``) the body is skipped while
+        In fast mode (``reference_memory=False``) the body is skipped while
         ``now`` is before the cached wake-up time — see the class
         docstring for why that is behaviour-identical.
         """
-        if now < self._wake and not self.reference_core:
+        if now < self._wake and not self.reference_memory:
             return
         request_network = self.request_network
         request_network.cycle(now)
@@ -199,7 +199,7 @@ class MemorySystem:
                     )
                     injected += 1
         self.reply_network.cycle(now)
-        if not self.reference_core:
+        if not self.reference_memory:
             self._wake = self._compute_wake(now)
             self._next = self._wake
             self._next_stale = False
@@ -248,12 +248,12 @@ class MemorySystem:
         minimum is the value a fresh enumeration would produce.  The
         reference path always re-enumerates.
         """
-        if (not self.reference_core and not self._next_stale
+        if (not self.reference_memory and not self._next_stale
                 and self._next > now):
             wake = self._next
         else:
             wake = self._compute_wake(now)
-            if not self.reference_core:
+            if not self.reference_memory:
                 self._next = wake
                 self._next_stale = False
         return None if wake == _NEVER else int(wake)

@@ -9,9 +9,13 @@ them a front door in the same style as ``register_workload`` /
 ``register_config`` / ``register_store``: a :class:`CoreBackend`
 descriptor registered by name in an open :class:`~repro.utils.registry
 .Registry`, so a fourth backend is one ``register_core_backend`` call
-away and every consumer (``GPUConfig.core_backend``, ``Session(core=...)``,
-``repro --core``, the store's ``config_hash``) dispatches through the
-same names.
+away and every consumer dispatches through the same names.
+
+A core is chosen in exactly two ways: a configuration's
+``GPUConfig.core_backend`` field, and the per-run ``core=`` override on
+``Session``, ``ParallelExecutor`` and the CLI (``--core NAME[:k=v]``,
+parsed by :func:`parse_core_spec`).  The store's ``config_hash`` reads
+the resolved ``core_backend`` name.
 
 The backend contract
 --------------------
@@ -57,7 +61,6 @@ separately and its results are never served for an exact-core request
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -252,55 +255,6 @@ def parse_core_spec(spec: str) -> Tuple[str, Dict[str, str]]:
                 )
             options[key] = value
     return name, options
-
-
-#: Uniform deprecation text of the retired ``reference_core`` boolean.
-#: Every shim — ``GPUConfig(reference_core=True)``,
-#: ``Session(reference_core=True)``, ``ParallelExecutor(...)``, and the
-#: CLI's ``--reference-core`` — formats this one template, so the
-#: guidance users see is identical everywhere.
-REFERENCE_CORE_DEPRECATION = "{owner} is deprecated; use {replacement}"
-
-
-def reference_core_message(owner: str, replacement: str) -> str:
-    """The uniform deprecation message for one ``reference_core`` shim."""
-    return REFERENCE_CORE_DEPRECATION.format(owner=owner,
-                                             replacement=replacement)
-
-
-def resolve_reference_core(
-    core: Optional[str],
-    reference_core: bool,
-    *,
-    owner: str,
-    replacement: str,
-    conflict_error: Optional[Type[Exception]] = None,
-    stacklevel: int = 3,
-) -> Optional[str]:
-    """Consolidated shim for the deprecated ``reference_core`` boolean.
-
-    When ``reference_core`` is falsy, returns ``core`` unchanged.
-    Otherwise emits the uniform :class:`DeprecationWarning` (see
-    :func:`reference_core_message`) and returns ``"reference"``; if
-    ``core`` names a *different* backend at the same time, raises
-    ``conflict_error`` (when given) instead of silently preferring one.
-    ``owner``/``replacement`` name the call site, e.g.
-    ``owner="Session(reference_core=True)"``,
-    ``replacement="Session(core='reference')"``.
-    """
-    if not reference_core:
-        return core
-    warnings.warn(
-        reference_core_message(owner, replacement),
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if core is not None and core != "reference":
-        if conflict_error is not None:
-            raise conflict_error(
-                f"core={core!r} conflicts with reference_core=True"
-            )
-    return "reference"
 
 
 def core_backend_is_exact(name: str) -> bool:

@@ -208,11 +208,6 @@ class StreamingMultiprocessor:
         self._slot_idle = self.stats.slot("issue_idle_cycles")
         self._slot_active = self.stats.slot("active_cycles")
 
-    @property
-    def reference_core(self) -> bool:
-        """Whether this SM runs the reference engine (legacy introspection)."""
-        return self.backend_name == "reference"
-
     # ------------------------------------------------------------------
     # CTA management
     # ------------------------------------------------------------------

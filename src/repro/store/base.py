@@ -90,9 +90,7 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     must serve the others.  Backends that are **not** proven
     byte-identical (``estimator``, or any name this process does not
     know) keep their name, so their results are keyed separately and are
-    never served for an exact-core request.  The legacy
-    ``reference_core`` boolean is normalized to ``False`` for the same
-    reason (it only ever selected between two exact cores).
+    never served for an exact-core request.
 
     ``core_options`` take part in the hash verbatim: options tune a
     backend's behavior (e.g. the estimator's ``time_quantum``), so two
@@ -105,8 +103,6 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
 
     digest = hashlib.sha256()
     for config in configs:
-        if getattr(config, "reference_core", False):
-            config = config.replace(reference_core=False)
         backend = getattr(config, "core_backend", None)
         if (backend is not None and backend != "fast"
                 and not getattr(config, "core_options", None)

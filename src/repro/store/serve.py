@@ -164,6 +164,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, then body).  With Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the
+    # headers — tens of milliseconds per keep-alive request.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; keep that for a
     # long-running server but let tests silence it via the server flag.

@@ -1,22 +1,19 @@
-"""Tests for the simulation-core backend registry and its shims.
+"""Tests for the simulation-core backend registry and core selection.
 
 Covers the :mod:`repro.simt.backend` front door (registry contents,
-lookup errors, exactness queries, third-party registration), the
-deprecated ``reference_core`` boolean shims on :class:`GPUConfig`,
-:class:`Session`, and :class:`ParallelExecutor`, and the estimator's
-payload labelling — the API-surface half of the golden-equivalence
-guarantees pinned in ``test_fastpath_equivalence.py``.
+lookup errors, exactness queries, third-party registration), the two
+ways to choose a core — ``GPUConfig.core_backend`` and the ``core=``
+override on :class:`Session`, :class:`ParallelExecutor` and the CLI —
+and the estimator's payload labelling: the API-surface half of the
+golden-equivalence guarantees pinned in ``test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.experiments import Experiment, Session
-from repro.gpu import GPU, get_config
-from repro.gpu.config import GPUConfig
+from repro.gpu import GPU
 from repro.simt.backend import (
     CORE_BACKENDS,
     CoreBackend,
@@ -25,7 +22,7 @@ from repro.simt.backend import (
     get_core_backend,
     register_core_backend,
 )
-from repro.utils.errors import ConfigurationError, ExperimentError
+from repro.utils.errors import ConfigurationError
 from repro.workloads import create_workload
 from tests.conftest import make_fast_config
 
@@ -93,26 +90,6 @@ class TestRegistry:
 
 
 class TestGPUConfigShim:
-    def test_reference_core_true_warns_and_normalizes(self):
-        with pytest.deprecated_call():
-            config = make_fast_config(reference_core=True)
-        assert config.core_backend == "reference"
-        # The stored boolean resets so the repr (and therefore the store
-        # fingerprint) has one canonical form.
-        assert config.reference_core is False
-
-    def test_shim_repr_matches_canonical_form(self):
-        with pytest.deprecated_call():
-            shim = make_fast_config(reference_core=True)
-        assert repr(shim) == repr(make_fast_config(core_backend="reference"))
-
-    def test_core_accepts_backend_name_string(self):
-        config = make_fast_config(core="vector")
-        assert config.core_backend == "vector"
-        from repro.simt.coreconfig import CoreConfig
-
-        assert isinstance(config.core, CoreConfig)
-
     def test_empty_core_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             make_fast_config(core_backend="")
@@ -122,62 +99,64 @@ class TestGPUConfigShim:
         with pytest.raises(ConfigurationError):
             GPU(config)
 
-    def test_shim_runs_end_to_end_byte_identical(self):
-        """Acceptance: ``GPUConfig(reference_core=True)`` still runs, and
-        its results are byte-identical to ``core_backend="reference"``."""
-        def run(config):
-            gpu = GPU(config)
-            workload = create_workload("vecadd", n=256, block_dim=64)
-            results = workload.run(gpu)
-            assert workload.verify(gpu)
-            return results
-
-        with pytest.deprecated_call():
-            shim_config = make_fast_config(reference_core=True)
-        shim = run(shim_config)
-        named = run(make_fast_config(core_backend="reference"))
-        assert len(shim) == len(named)
-        for a, b in zip(shim, named):
-            assert a.cycles == b.cycles
-            assert (json.dumps(a.stats, sort_keys=True)
-                    == json.dumps(b.stats, sort_keys=True))
-
 
 class TestSessionShim:
-    def test_session_core_conflict_rejected(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ExperimentError):
-                Session(core="vector", reference_core=True)
-
-    def test_session_shim_warns_and_maps(self):
-        with pytest.deprecated_call():
-            session = Session(reference_core=True)
-        assert session.core == "reference"
-
-    def test_parallel_executor_shim_warns_and_maps(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.deprecated_call():
-            executor = ParallelExecutor(jobs=1, reference_core=True)
-        assert executor._core == "reference"
-
-    def test_parallel_executor_core_conflict_rejected(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.deprecated_call():
-            with pytest.raises(ExperimentError):
-                ParallelExecutor(jobs=1, core="fast", reference_core=True)
-
     def test_old_spec_dicts_round_trip(self):
         """Specs predate backends and never carried core fields; their
         dict form (and hash) is untouched by the backend redesign."""
         spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
         data = spec.to_dict()
         assert "core" not in data
-        assert "reference_core" not in data
         rebuilt = Experiment.from_dict(data)
         assert rebuilt.spec_hash() == spec.spec_hash()
         assert rebuilt.to_dict() == data
+
+
+SMALL_SPEC = Experiment.dynamic("gf100", "vecadd", n=64, block_dim=64)
+
+
+def _worker_backend_name():
+    """Run in a pool worker: the backend its session simulates on."""
+    from repro.experiments import parallel
+
+    return parallel._WORKER_SESSION.run(SMALL_SPEC).gpu.core_backend.name
+
+
+class TestCoreSelection:
+    """Each spelling that selects a core reaches the reference engine."""
+
+    def test_config_core_backend(self):
+        gpu = GPU(make_fast_config(core_backend="reference"))
+        assert gpu.core_backend.name == "reference"
+        assert gpu.memory_system.reference_memory
+        assert {sm.backend_name for sm in gpu.sms} == {"reference"}
+
+    def test_session_core(self):
+        record = Session(cache=False, core="reference").run(SMALL_SPEC)
+        assert record.gpu.core_backend.name == "reference"
+
+    def test_parallel_executor_core(self):
+        from repro.experiments.parallel import ParallelExecutor
+
+        with ParallelExecutor(jobs=1, core="reference") as executor:
+            future = executor._ensure_pool().submit(_worker_backend_name)
+            assert future.result() == "reference"
+
+    def test_cli_core_flag(self, monkeypatch):
+        from repro.cli import main
+
+        built = []
+        init = GPU.__init__
+
+        def spy(gpu, *args, **kwargs):
+            init(gpu, *args, **kwargs)
+            built.append(gpu.core_backend.name)
+
+        monkeypatch.setattr(GPU, "__init__", spy)
+        assert main(["dynamic", "--config", "gf100", "--workload", "vecadd",
+                     "--param", "n=64", "--buckets", "4",
+                     "--core", "reference"]) == 0
+        assert built and set(built) == {"reference"}
 
 
 class TestEstimatorLabelling:
@@ -298,28 +277,3 @@ class TestParseCoreSpec:
 
         with pytest.raises(ConfigurationError):
             parse_core_spec(spec)
-
-
-class TestShimUniformity:
-    """All three ``reference_core`` shims share one helper and one
-    message shape: ``"<owner> is deprecated; use <replacement>"``."""
-
-    def test_gpu_config_shim_message(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"GPUConfig\(reference_core=True\) is "
-                                r"deprecated; use core_backend='reference'"):
-            make_fast_config(reference_core=True)
-
-    def test_session_shim_message(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"Session\(reference_core=True\) is "
-                                r"deprecated; use core='reference'"):
-            Session(reference_core=True)
-
-    def test_parallel_executor_shim_message(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"ParallelExecutor\(reference_core=True\) is "
-                                r"deprecated; use core='reference'"):
-            ParallelExecutor(jobs=1, reference_core=True)

@@ -248,22 +248,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "time_quantum" in output
 
-    def test_reference_core_flag_deprecated_alias(self, capsys):
-        assert main([
-            "dynamic", "--config", "gf100", "--workload", "vecadd",
-            "--param", "n=96", "--buckets", "4", "--reference-core",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--core reference" in captured.err
-
-    def test_reference_core_conflicting_core_rejected(self, capsys):
-        assert main([
-            "dynamic", "--config", "gf100", "--workload", "vecadd",
-            "--core", "vector", "--reference-core",
-        ]) == 2
-        assert "conflicts" in capsys.readouterr().err
-
 
 class TestSmokeCoreMatrix:
     def test_smoke_report_counts_cores(self, capsys, monkeypatch):

@@ -185,17 +185,6 @@ class TestSessionEquivalence:
         assert session.resolve_config("gf100").core_backend == "vector"
         assert Session().resolve_config("gf100").core_backend == "fast"
 
-    def test_session_reference_core_shim(self):
-        """Deprecated ``reference_core=True`` still selects the
-        reference backend, byte-identically to ``core="reference"``."""
-        spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
-        with pytest.deprecated_call():
-            shim = Session(cache=False, reference_core=True)
-        assert shim.resolve_config("gf100").core_backend == "reference"
-        named = Session(cache=False, core="reference")
-        assert (json.dumps(shim.run(spec).payload, sort_keys=True)
-                == json.dumps(named.run(spec).payload, sort_keys=True))
-
 
 def build_random_kernel(ops, block_dim):
     """Assemble a small kernel from a drawn op list.

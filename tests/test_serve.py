@@ -6,8 +6,11 @@ HTTP surface is exercised end to end against a real server on an
 ephemeral port with the real simulator underneath.
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,7 +18,7 @@ import pytest
 
 from repro.experiments import Experiment, Session
 from repro.store import MemoryStore, RequestBroker, ReproServer, StoreKey
-from repro.utils.errors import ExperimentError, ReproError
+from repro.utils.errors import ReproError
 
 CHEAP_SPEC = {"kind": "dynamic", "configs": ["gf100"],
               "workload": "vecadd", "params": {"n": 96, "buckets": 4}}
@@ -76,7 +79,6 @@ class TestRequestBroker:
             thread.start()
         # The two waiters are parked on the in-flight entry; release the
         # owner and everyone resolves off the single simulation.
-        import time
         deadline = time.time() + 30
         while broker.counters["requests"] < 3 and time.time() < deadline:
             time.sleep(0.01)
@@ -217,6 +219,28 @@ class TestHTTP:
         assert stats["store"]["entries"] == 1
         with urllib.request.urlopen(_url(server, "/healthz")) as response:
             assert json.load(response) == {"ok": True}
+
+
+    def test_keep_alive_cached_requests_are_fast(self, server):
+        """Cached replies on one keep-alive connection are not held back
+        by Nagle's algorithm waiting for the client's delayed ACK."""
+        _post(server, CHEAP_SPEC)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        body = json.dumps(CHEAP_SPEC)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("POST", "/run", body=body,
+                                   headers={"Content-Type":
+                                            "application/json"})
+                response = connection.getresponse()
+                assert json.load(response)["source"] == "cache"
+                latencies.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020
 
 
 class TestServeCLI:

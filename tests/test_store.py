@@ -242,13 +242,6 @@ class TestStoreKey:
         assert (plain.store_key(CHEAP).config_hash
                 != shadowed.store_key(CHEAP).config_hash)
 
-    def test_reference_core_normalized_out(self):
-        fast = Session()
-        with pytest.deprecated_call():
-            reference = Session(reference_core=True)
-        assert (fast.store_key(CHEAP).as_tuple()
-                == reference.store_key(CHEAP).as_tuple())
-
     def test_static_defaults_resolve_generations(self):
         session = Session()
         defaulted = session.store_key(Experiment.static())
@@ -408,17 +401,6 @@ class TestSessionStore:
         assert counters["simulated"] == 2       # forced re-run
         assert counters["store_hits"] == 0      # reads skipped
         assert len(store) == 1                  # still written through
-
-    def test_reference_core_serves_fast_path_results(self):
-        store = MemoryStore()
-        Session(store=store).run(CHEAP)
-        with pytest.deprecated_call():
-            reference = Session(store=store, reference_core=True)
-        reference.run(CHEAP)
-        assert reference.counters() == {
-            "cache_hits": 0, "cache_misses": 1, "store_hits": 1,
-            "store_misses": 0, "simulated": 0,
-        }
 
     def test_progress_reports_source(self):
         store = MemoryStore()

@@ -385,32 +385,6 @@ class TestKernelTokenParsing:
             parse_scenario_kernel_token(":n=1")
 
 
-class TestCoreBackendAliases:
-    def test_session_accepts_core_backend(self):
-        session = Session(core_backend="vector")
-        assert session.core == "vector"
-
-    def test_session_alias_conflict_rejected(self):
-        with pytest.raises(ExperimentError, match="conflicts"):
-            Session(core="fast", core_backend="vector")
-
-    def test_session_matching_alias_accepted(self):
-        session = Session(core="vector", core_backend="vector")
-        assert session.core == "vector"
-
-    def test_parallel_executor_accepts_core_backend(self):
-        from repro.experiments import ParallelExecutor
-
-        executor = ParallelExecutor(jobs=1, core_backend="vector")
-        assert executor._core == "vector"
-
-    def test_parallel_executor_alias_conflict_rejected(self):
-        from repro.experiments import ParallelExecutor
-
-        with pytest.raises(ExperimentError, match="conflicts"):
-            ParallelExecutor(jobs=1, core="fast", core_backend="vector")
-
-
 class TestColocationSweep:
     def test_sensitivity_neighbor_uses_primary_cycles(self):
         from repro.sensitivity import SensitivityStudy
