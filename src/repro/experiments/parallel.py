@@ -46,6 +46,8 @@ import concurrent.futures
 import multiprocessing
 import os
 import sys
+import threading
+import time
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -90,13 +92,34 @@ def _start_method() -> str:
     return multiprocessing.get_start_method(allow_none=False)
 
 
+#: How often (seconds) a pool worker checks that its parent is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Exit this process once its parent is gone.
+
+    A parent killed outright (SIGKILL) never shuts its pool down, and its
+    workers are re-parented; polling ``os.getppid`` catches that.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker(configs: Dict[str, GPUConfig],
                  core: Optional[str] = None,
                  core_options: Optional[Dict[str, Any]] = None) -> None:
-    """Pool initializer: build this worker's long-lived session once."""
+    """Pool initializer: build this worker's long-lived session once.
+
+    Also starts a daemon thread that ends the worker if the parent dies
+    without shutting the pool down.
+    """
     global _WORKER_SESSION
     from repro.experiments.session import Session  # deferred: avoid cycle
 
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="repro-orphan-watch", daemon=True).start()
     _WORKER_SESSION = Session(cache=True, configs=configs, core=core,
                               core_options=core_options)
 

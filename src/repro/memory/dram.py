@@ -16,14 +16,35 @@ Two schedulers are provided:
 The time a request spends waiting in the queue before being selected is
 the ``DRAM(QtoSch)`` component of the paper's Figure 1; the time from
 selection until the data burst completes is ``DRAM(SchToA)``.
+
+Two things keep the per-cycle scheduling cost down without changing a
+cycle or a counter:
+
+* **Decode once.**  :meth:`DramChannel.enqueue` decodes a request's bank
+  and row when it enters the queue and stores them in the queue entry
+  ``(enqueue_time, seq, request, bank, row)``; the schedulers and the
+  request start read them from there instead of re-decoding the address
+  on every scan.
+* **Blocked cycles short-circuit.**  A scheduler returns ``None``
+  exactly when every queued request's bank is busy, and a bank's
+  ``busy_until`` only changes when a request starts.  So after a
+  ``None`` the channel caches the earliest ``busy_until`` over the banks
+  with queued requests, lowers it when :meth:`~DramChannel.enqueue` adds
+  a request, and clears it when a request starts.  Until that cycle,
+  :meth:`~DramChannel.cycle` counts ``all_banks_busy_cycles`` and
+  returns without scanning, which is what the scan would have done.
+  Constructed with ``reference_memory=True`` (the reference core's
+  memory system) the channel keeps scanning every cycle, so the golden
+  suite checks the cached path against the straight-line one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.core.stages import Event
 from repro.core.tracker import LatencyTracker
@@ -116,6 +137,11 @@ class DramBank:
         return self.busy_until <= now
 
 
+#: A scheduler queue entry: ``(enqueue_time, seq, request, bank, row)``,
+#: with the bank and row decoded once at enqueue.
+QueueEntry = Tuple[int, int, MemoryRequest, int, int]
+
+
 class DramScheduler:
     """Base class for DRAM request schedulers."""
 
@@ -123,12 +149,16 @@ class DramScheduler:
 
     def select(
         self,
-        queue: List[Tuple[int, int, MemoryRequest]],
+        queue: List[QueueEntry],
         banks: List[DramBank],
-        mapping: AddressMapping,
         now: int,
     ) -> Optional[int]:
-        """Return the index in ``queue`` of the request to start, or ``None``."""
+        """Return the index in ``queue`` of the request to start, or ``None``.
+
+        ``None`` must mean exactly that every queued request's bank is
+        busy at ``now``: :class:`DramChannel` relies on it to skip the
+        scan until the earliest of those banks frees up.
+        """
         raise NotImplementedError
 
 
@@ -137,10 +167,9 @@ class FCFSScheduler(DramScheduler):
 
     name = "fcfs"
 
-    def select(self, queue, banks, mapping, now):
-        for index, (_, _, request) in enumerate(queue):
-            bank = banks[mapping.bank_of(request.address)]
-            if bank.ready(now):
+    def select(self, queue, banks, now):
+        for index, (_, _, _, bank, _) in enumerate(queue):
+            if banks[bank].ready(now):
                 return index
         return None
 
@@ -158,10 +187,10 @@ class FRFCFSScheduler(DramScheduler):
     def __init__(self, starvation_limit: int = 0) -> None:
         self.starvation_limit = starvation_limit
 
-    def select(self, queue, banks, mapping, now):
+    def select(self, queue, banks, now):
         fallback: Optional[int] = None
-        for index, (enqueue_time, _, request) in enumerate(queue):
-            bank = banks[mapping.bank_of(request.address)]
+        for index, (enqueue_time, _, _, bank_index, row) in enumerate(queue):
+            bank = banks[bank_index]
             if not bank.ready(now):
                 continue
             starved = (
@@ -170,7 +199,7 @@ class FRFCFSScheduler(DramScheduler):
             )
             if starved:
                 return index
-            if bank.open_row == mapping.row_of(request.address):
+            if bank.open_row == row:
                 return index
             if fallback is None:
                 fallback = index
@@ -194,7 +223,12 @@ def create_scheduler(name: str, starvation_limit: int = 0) -> DramScheduler:
 
 
 class DramChannel:
-    """One DRAM channel: scheduler queue, banks, and data-bus serialisation."""
+    """One DRAM channel: scheduler queue, banks, and data-bus serialisation.
+
+    With ``reference_memory=True`` the scheduler scans the queue every
+    cycle; otherwise cycles on which every queued request's bank is known
+    to be busy skip the scan (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -202,21 +236,34 @@ class DramChannel:
         timing: DRAMTiming,
         mapping: AddressMapping,
         tracker: LatencyTracker,
+        reference_memory: bool = False,
     ) -> None:
         self.partition_id = partition_id
         self.timing = timing
         self.mapping = mapping
         self.tracker = tracker
+        self.reference_memory = reference_memory
         self.scheduler = create_scheduler(
             timing.scheduler, starvation_limit=timing.starvation_limit
         )
         self.banks = [DramBank() for _ in range(timing.num_banks)]
-        self._queue: List[Tuple[int, int, MemoryRequest]] = []
+        self._queue: List[QueueEntry] = []
         self._sequence = itertools.count()
         self._in_service: List[Tuple[int, int, MemoryRequest]] = []
-        self._completed_reads: List[MemoryRequest] = []
+        self._completed_reads: Deque[MemoryRequest] = deque()
         self._bus_free_at = 0
+        # The scheduler cannot start anything before this cycle: the
+        # earliest busy_until over the banks of queued requests, cached
+        # when a scan found no ready bank (0 when nothing is cached).
+        self._blocked_until = 0
         self.stats = StatCounters(prefix=f"dram{partition_id}")
+        stats = self.stats
+        self._s_requests = stats.slot("requests")
+        self._s_all_busy = stats.slot("all_banks_busy_cycles")
+        self._s_row_hits = stats.slot("row_hits")
+        self._s_row_closed = stats.slot("row_closed")
+        self._s_row_conflicts = stats.slot("row_conflicts")
+        self._s_queue_wait = stats.slot("queue_wait_cycles")
 
     # ------------------------------------------------------------------
     # Queue interface (used by the L2 slice / partition)
@@ -230,8 +277,13 @@ class DramChannel:
         if not self.can_accept():
             raise RuntimeError(f"dram{self.partition_id}: enqueue into full queue")
         self.tracker.record_event(request, Event.DRAM_Q_ARRIVE, now)
-        self._queue.append((now, next(self._sequence), request))
-        self.stats.add("requests")
+        bank = self.mapping.bank_of(request.address)
+        row = self.mapping.row_of(request.address)
+        self._queue.append((now, next(self._sequence), request, bank, row))
+        busy_until = self.banks[bank].busy_until
+        if busy_until < self._blocked_until:
+            self._blocked_until = busy_until
+        self.stats.inc(self._s_requests)
 
     def queue_occupancy(self) -> int:
         """Requests currently waiting to be scheduled."""
@@ -248,12 +300,13 @@ class DramChannel:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def _access_latency(self, bank: DramBank, row: int) -> Tuple[int, str]:
+    def _access_latency(self, bank: DramBank, row: int) -> Tuple[int, int]:
+        """Bank occupancy of an access to ``row`` and its outcome's slot."""
         if bank.open_row == row:
-            return self.timing.row_hit_latency(), "row_hits"
+            return self.timing.row_hit_latency(), self._s_row_hits
         if bank.open_row is None:
-            return self.timing.row_closed_latency(), "row_closed"
-        return self.timing.row_conflict_latency(), "row_conflicts"
+            return self.timing.row_closed_latency(), self._s_row_closed
+        return self.timing.row_conflict_latency(), self._s_row_conflicts
 
     def cycle(self, now: int) -> None:
         """Complete finished accesses and start at most one new access."""
@@ -268,18 +321,23 @@ class DramChannel:
                 self.stats.add("writes_completed")
         if not self._queue:
             return
-        index = self.scheduler.select(self._queue, self.banks, self.mapping, now)
-        if index is None:
-            self.stats.add("all_banks_busy_cycles")
+        if now < self._blocked_until:
+            self.stats.inc(self._s_all_busy)
             return
-        enq_time, _, request = self._queue.pop(index)
-        bank_index = self.mapping.bank_of(request.address)
-        row = self.mapping.row_of(request.address)
+        index = self.scheduler.select(self._queue, self.banks, now)
+        if index is None:
+            self.stats.inc(self._s_all_busy)
+            if not self.reference_memory:
+                self._blocked_until = min(
+                    self.banks[bank].busy_until
+                    for _, _, _, bank, _ in self._queue)
+            return
+        enq_time, _, request, bank_index, row = self._queue.pop(index)
         bank = self.banks[bank_index]
         latency, outcome = self._access_latency(bank, row)
-        request.dram_row_hit = outcome == "row_hits"
-        self.stats.add(outcome)
-        self.stats.add("queue_wait_cycles", now - enq_time)
+        request.dram_row_hit = outcome == self._s_row_hits
+        self.stats.inc(outcome)
+        self.stats.inc(self._s_queue_wait, now - enq_time)
         # The bank and the data bus are occupied only for the DRAM-core part
         # of the access; the fixed service pad (command transport, PHY and
         # clock-domain crossing) is pipelined and only delays the response.
@@ -287,6 +345,7 @@ class DramChannel:
         self._bus_free_at = burst_done
         bank.open_row = row
         bank.busy_until = burst_done
+        self._blocked_until = 0
         response_time = burst_done + self.timing.service_pad
         self.tracker.record_event(request, Event.DRAM_SCHEDULED, now)
         heapq.heappush(
@@ -301,7 +360,7 @@ class DramChannel:
         cycle the data burst finished, recorded at completion time)."""
         if not self._completed_reads:
             return None
-        return self._completed_reads.pop(0)
+        return self._completed_reads.popleft()
 
     def next_event_time(self, now: int) -> Optional[int]:
         """Earliest future cycle at which this channel needs attention."""

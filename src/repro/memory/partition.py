@@ -66,10 +66,15 @@ class PartitionConfig:
 
 
 class MemoryPartition:
-    """One L2 slice + DRAM channel pair behind the interconnect."""
+    """One L2 slice + DRAM channel pair behind the interconnect.
+
+    ``reference_memory`` is passed to the DRAM channel (see
+    :class:`~repro.memory.dram.DramChannel`).
+    """
 
     def __init__(self, partition_id: int, config: PartitionConfig,
-                 mapping: AddressMapping, tracker: LatencyTracker) -> None:
+                 mapping: AddressMapping, tracker: LatencyTracker,
+                 reference_memory: bool = False) -> None:
         self.partition_id = partition_id
         self.config = config
         self.tracker = tracker
@@ -78,7 +83,8 @@ class MemoryPartition:
             if config.l2_enabled
             else None
         )
-        self.dram = DramChannel(partition_id, config.dram, mapping, tracker)
+        self.dram = DramChannel(partition_id, config.dram, mapping, tracker,
+                                reference_memory=reference_memory)
         self._rop_queue: Deque[Tuple[int, MemoryRequest]] = deque()
         self.return_queue: BoundedQueue[MemoryRequest] = BoundedQueue(
             config.return_queue_size, name=f"part{partition_id}.return"

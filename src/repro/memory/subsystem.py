@@ -41,7 +41,9 @@ class MemorySystem:
     traffic from the SMs is never missed.  A skipped cycle is provably a
     no-op — every component's per-cycle handler neither mutates state
     nor touches a stat counter before its next event time — so the fast
-    and reference paths produce byte-identical results.
+    and reference paths produce byte-identical results.  The flag also
+    reaches each partition's DRAM channel, which then scans its scheduler
+    queue every cycle instead of skipping cycles it knows are blocked.
     """
 
     def __init__(
@@ -61,7 +63,8 @@ class MemorySystem:
         self.tracker = tracker
         self.reply_inject_per_cycle = reply_inject_per_cycle
         self.partitions: List[MemoryPartition] = [
-            MemoryPartition(pid, partition_config, mapping, tracker)
+            MemoryPartition(pid, partition_config, mapping, tracker,
+                            reference_memory=reference_memory)
             for pid in range(mapping.num_partitions)
         ]
         self.request_network = Interconnect(

@@ -31,6 +31,7 @@ from repro.experiments import Experiment, Session
 from repro.gpu import GPU, available_configs, get_config
 from repro.isa.builder import KernelBuilder
 from repro.memory.globalmem import WORD_SIZE
+from repro.sensitivity import parse_transform
 from repro.simt.backend import available_core_backends, get_core_backend
 from repro.workloads import create_workload
 from tests.conftest import make_fast_config
@@ -104,9 +105,14 @@ def assert_results_identical(fast_results, reference_results):
                 == json.dumps(reference.stats, sort_keys=True))
 
 
-def compare_cores(config_name, workload_name, params, cores=None):
-    """Run on every exact core and assert all results byte-identical."""
-    config = get_config(config_name)
+def compare_cores(config, workload_name, params, cores=None):
+    """Run on every exact core and assert all results byte-identical.
+
+    ``config`` is a registered configuration name or a ``GPUConfig``.
+    Returns the (shared) results.
+    """
+    if isinstance(config, str):
+        config = get_config(config)
     baseline = None
     for core in (cores or EXACT_CORES):
         results = run_workload(config.replace(core_backend=core),
@@ -115,6 +121,7 @@ def compare_cores(config_name, workload_name, params, cores=None):
             baseline = results
         else:
             assert_results_identical(results, baseline)
+    return baseline
 
 
 class TestExactCoreRegistry:
@@ -150,6 +157,19 @@ class TestConfigEquivalence:
         compare_cores(config_name, "bfs",
                       {"num_nodes": 128, "avg_degree": 5, "block_dim": 64,
                        "seed": 11})
+
+    def test_bfs_at_8x_dram_latency(self):
+        """At 8x DRAM latency every queued request's bank is often busy, so
+        the DRAM channels' blocked-cycle skip (fast, vector) must match
+        the per-cycle scheduler scan (reference)."""
+        config = parse_transform("scale_dram_latency:8").apply(
+            get_config("gf100"))
+        results = compare_cores(config, "bfs",
+                                {"num_nodes": 256, "avg_degree": 6,
+                                 "block_dim": 64, "seed": 3})
+        assert any(value > 0 for result in results
+                   for key, value in result.stats.items()
+                   if key.endswith(".all_banks_busy_cycles"))
 
     @pytest.mark.parametrize("scheduler", ["lrr", "gto"])
     def test_both_warp_schedulers(self, scheduler):

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -426,6 +427,20 @@ class TestSessionStore:
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 
 
+def _process_alive(pid):
+    """Whether ``pid`` runs; an unreaped zombie counts as exited."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return True
+    return state not in ("Z", "X")
+
+
 @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
 class TestSessionStoreParallel:
     def test_parallel_counters_match_serial(self):
@@ -505,8 +520,9 @@ class TestResume:
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_sigkill_mid_flight_resumes_missing_cells(self, tmp_path):
         store_path = str(tmp_path / "killed.sqlite")
+        pids_path = str(tmp_path / "worker_pids.txt")
         script = textwrap.dedent(f"""
-            import os, signal
+            import multiprocessing, os, signal
             from repro.experiments import Experiment, Session
 
             grid = Experiment.grid(
@@ -520,6 +536,10 @@ class TestResume:
                 if source == "simulated":
                     state["simulated"] += 1
                     if state["simulated"] == 2:
+                        with open({pids_path!r}, "w") as handle:
+                            handle.write(" ".join(
+                                str(child.pid) for child
+                                in multiprocessing.active_children()))
                         os.kill(os.getpid(), signal.SIGKILL)
 
             session.run_all(grid, jobs=2, progress=progress)
@@ -534,6 +554,16 @@ class TestResume:
             [sys.executable, "-c", script], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         assert process.wait(timeout=300) == -signal.SIGKILL
+
+        # The orphaned pool workers notice their parent is gone and exit.
+        with open(pids_path) as handle:
+            worker_pids = [int(pid) for pid in handle.read().split()]
+        assert worker_pids
+        deadline = time.monotonic() + 10
+        while (any(_process_alive(pid) for pid in worker_pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert not [pid for pid in worker_pids if _process_alive(pid)]
 
         # Store writes commit before progress fires, so the two announced
         # completions are durably stored despite the SIGKILL.
