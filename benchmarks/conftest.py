@@ -3,23 +3,20 @@
 Every benchmark regenerates one of the paper's tables or figures (or an
 ablation the paper motivates), prints the rows/series it produced, and
 saves the same text under ``benchmarks/results/`` so the committed
-numbers can be re-derived.  Tables of host wall-clock times are only
-printed: saving them would rewrite tracked files on every run.
+numbers can be re-derived.  Every table is deterministic, so a run
+leaves the tracked copies byte-identical.  No benchmark times the host:
+speed-ups are guarded by the work-count gates in
+``tests/test_count_gates.py``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments import Experiment, Session
 from repro.gpu import fermi_gf100
-
-#: Worker processes used by the parallel-executor benchmark (override with
-#: REPRO_BENCH_JOBS; CI runners typically have 2-4 cores).
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "2"))
 
 #: Where benchmark output tables are written.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -35,21 +32,12 @@ ABLATION_BFS_NODES = 2048
 ABLATION_BFS_DEGREE = 8
 
 
-def print_table(text: str) -> None:
-    """Print a result table without saving it.
-
-    For tables of host wall-clock times: they differ on every run, so a
-    tracked copy would change whenever the benchmarks run.
-    """
-    print()
-    print(text)
-
-
 def save_and_print(name: str, text: str) -> None:
     """Print a result table and persist it under ``benchmarks/results``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print_table(text)
+    print()
+    print(text)
 
 
 def sum_stat(stats: dict, suffix: str) -> float:

@@ -11,8 +11,6 @@ waiting for the DRAM scheduler, and overall runtime respond.
 
 import dataclasses
 
-import pytest
-
 from benchmarks.conftest import (
     FIG_BFS_DEGREE,
     FIG_BFS_NODES,
@@ -57,12 +55,8 @@ def measure(scheduler: str):
     }
 
 
-@pytest.mark.benchmark(group="ablation-dram-scheduler")
-def test_ablation_dram_scheduler(benchmark):
-    def run_both():
-        return [measure("frfcfs"), measure("fcfs")]
-
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_ablation_dram_scheduler():
+    rows = [measure("frfcfs"), measure("fcfs")]
     formatted = [
         {
             "scheduler": row["scheduler"],

@@ -55,13 +55,9 @@ def measure(policy: str):
     }
 
 
-@pytest.mark.benchmark(group="ablation-l1-policy")
-def test_ablation_l1_policy(benchmark):
-    def run_all():
-        return {policy: measure(policy)
-                for policy in ("fermi", "kepler", "maxwell")}
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablation_l1_policy():
+    rows = {policy: measure(policy)
+            for policy in ("fermi", "kepler", "maxwell")}
     formatted = [
         {
             "L1 policy": policy,

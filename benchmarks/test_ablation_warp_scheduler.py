@@ -9,8 +9,6 @@ fraction, and the mean global-load latency for both.
 
 import dataclasses
 
-import pytest
-
 from benchmarks.conftest import (
     ABLATION_BFS_DEGREE,
     ABLATION_BFS_NODES,
@@ -42,12 +40,8 @@ def measure(policy: str):
     }
 
 
-@pytest.mark.benchmark(group="ablation-warp-scheduler")
-def test_ablation_warp_scheduler(benchmark):
-    def run_both():
-        return [measure("gto"), measure("lrr")]
-
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_ablation_warp_scheduler():
+    rows = [measure("gto"), measure("lrr")]
     formatted = [
         {
             "warp scheduler": row["scheduler"],

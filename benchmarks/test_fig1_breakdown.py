@@ -9,8 +9,6 @@ and asserts the shape the paper reports: left-hand buckets are pure
 long-latency buckets.
 """
 
-import pytest
-
 from benchmarks.conftest import save_and_print
 from repro.analysis import breakdown_chart
 from repro.core.breakdown import breakdown_from_tracker
@@ -20,16 +18,9 @@ from repro.core.stages import Stage
 NUM_BUCKETS = 48
 
 
-@pytest.mark.benchmark(group="fig1")
-def test_fig1_latency_breakdown(benchmark, bfs_gf100_run):
+def test_fig1_latency_breakdown(bfs_gf100_run):
     gpu, workload, results = bfs_gf100_run
-
-    def analyse():
-        return breakdown_from_tracker(gpu.tracker, num_buckets=NUM_BUCKETS)
-
-    # Several rounds: the analysis is fast enough that a single round's
-    # mean is hostage to whether a full GC pass lands inside the window.
-    result = benchmark.pedantic(analyse, rounds=5, iterations=1)
+    result = breakdown_from_tracker(gpu.tracker, num_buckets=NUM_BUCKETS)
 
     lines = [
         f"Figure 1 reproduction: BFS ({workload.graph.num_nodes} nodes, "

@@ -9,8 +9,6 @@ significant, sometimes close to 100% and more than 50% for most of the
 global memory load instructions".
 """
 
-import pytest
-
 from benchmarks.conftest import save_and_print
 from repro.analysis import exposure_chart
 from repro.core.exposure import compute_exposure
@@ -19,16 +17,9 @@ from repro.core.exposure import compute_exposure
 NUM_BUCKETS = 24
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_exposed_latency(benchmark, bfs_gf100_run):
+def test_fig2_exposed_latency(bfs_gf100_run):
     gpu, workload, results = bfs_gf100_run
-
-    def analyse():
-        return compute_exposure(gpu.tracker, num_buckets=NUM_BUCKETS)
-
-    # Several rounds: the analysis is fast enough that a single round's
-    # mean is hostage to whether a full GC pass lands inside the window.
-    result = benchmark.pedantic(analyse, rounds=5, iterations=1)
+    result = compute_exposure(gpu.tracker, num_buckets=NUM_BUCKETS)
 
     lines = [
         f"Figure 2 reproduction: BFS ({workload.graph.num_nodes} nodes), "

@@ -35,15 +35,12 @@ def queue_fraction(buckets):
     return queued / total if total else 0.0
 
 
-@pytest.mark.benchmark(group="other-workloads")
 @pytest.mark.parametrize("workload_factory,label", [
     (lambda: SpMVWorkload(num_rows=2048, nnz_per_row=12, block_dim=128), "spmv"),
     (lambda: StencilWorkload(n=16384, block_dim=128), "stencil"),
 ])
-def test_other_workload_breakdown(benchmark, workload_factory, label):
-    workload = workload_factory()
-    gpu = benchmark.pedantic(run_workload, args=(workload,), rounds=1,
-                             iterations=1)
+def test_other_workload_breakdown(workload_factory, label):
+    gpu = run_workload(workload_factory())
     result = breakdown_from_tracker(gpu.tracker, num_buckets=24)
     lines = [
         f"Latency breakdown for {label} on the GF100-like configuration",

@@ -6,11 +6,8 @@ kernel's CTAs occupy the SMs the first has released.  This benchmark
 runs vecadd and stencil once each as ordinary single-kernel experiments
 (the serialized baseline), then together as a two-stream scenario, and
 asserts the scenario's wall-cycles land strictly below the serialized
-sum — the whole point of concurrent residency.  The recorded mean (the
-scenario run) is gated by check_regression.py against baseline.json.
+sum — the whole point of concurrent residency.
 """
-
-import pytest
 
 from benchmarks.conftest import save_and_print
 from repro.analysis import comparison_table
@@ -25,14 +22,7 @@ SCENARIO_KERNELS = [
 ]
 
 
-def run_scenario():
-    session = Session(cache=False, core="fast")
-    return session.run(Experiment.scenario(SCENARIO_CONFIG,
-                                           SCENARIO_KERNELS))
-
-
-@pytest.mark.benchmark(group="scenario-overlap")
-def test_scenario_wall_cycles_below_serialized_sum(benchmark):
+def test_scenario_wall_cycles_below_serialized_sum():
     session = Session(cache=False, core="fast")
     serial_records = [
         session.run(Experiment.dynamic(SCENARIO_CONFIG, kernel["workload"],
@@ -42,7 +32,8 @@ def test_scenario_wall_cycles_below_serialized_sum(benchmark):
     serial_cycles = [record.total_cycles for record in serial_records]
     serialized_sum = sum(serial_cycles)
 
-    record = benchmark.pedantic(run_scenario, rounds=1, iterations=1)
+    record = session.run(Experiment.scenario(SCENARIO_CONFIG,
+                                             SCENARIO_KERNELS))
     wall_cycles = record.total_cycles
 
     assert record.payload["verified"]

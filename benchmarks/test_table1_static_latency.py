@@ -19,14 +19,8 @@ from repro.gpu.configs import TABLE_I_TARGETS, table_i_generations
 MEASURE_ACCESSES = 256
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_static_latencies(benchmark):
-    result = benchmark.pedantic(
-        reproduce_table_i,
-        kwargs={"measure_accesses": MEASURE_ACCESSES},
-        rounds=1,
-        iterations=1,
-    )
+def test_table1_static_latencies():
+    result = reproduce_table_i(measure_accesses=MEASURE_ACCESSES)
     save_and_print("table1_static_latency", result.format_table())
 
     for name in table_i_generations():

@@ -14,7 +14,10 @@ API
     Body: one experiment spec object (or ``{"experiment": {...}}``).
     Response: ``{"source": "cache"|"store"|"simulated"|"in-flight",
     "key": {...}, "record": {...}}``.  Malformed specs are 400s with
-    ``{"error": ...}``; simulator failures are 500s.
+    ``{"error": ...}``; simulator failures are 500s.  A negative or
+    non-integer ``Content-Length`` is a 400 and one above
+    :data:`MAX_BODY_BYTES` a 413; both are answered without reading the
+    body, and the connection is closed.
 ``GET /stats``
     Serve counters, session run counters, and the store's usage summary.
 ``GET /healthz``
@@ -44,6 +47,10 @@ from repro.utils.errors import ReproError
 
 #: Sources a brokered request can resolve with.
 REQUEST_SOURCES = ("cache", "store", "simulated", "in-flight")
+
+#: Largest ``POST /run`` body the server reads (experiment specs are a
+#: few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _InFlight:
@@ -176,11 +183,16 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         super().log_message(format, *args)
 
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+    def _reply(self, status: int, payload: Dict[str, Any],
+               close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: an unread body must not be
+            # parsed as the next request on this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -200,6 +212,18 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply(400, {"error": "Content-Length must be a "
+                                       "non-negative integer"}, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._reply(413, {"error": f"request body of {length} bytes "
+                                       f"exceeds the {MAX_BODY_BYTES}-byte "
+                                       f"limit"}, close=True)
+            return
+        try:
             body = self.rfile.read(length) if length else b""
             spec = json.loads(body.decode("utf-8")) if body else None
         except (ValueError, UnicodeDecodeError) as exc:

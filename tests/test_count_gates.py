@@ -1,0 +1,167 @@
+"""Deterministic work-count gates for the simulator's speed-ups.
+
+Each gate wraps one method with ``monkeypatch``, runs a small fixed cell
+and asserts a ratio of call counts.  The counts depend only on the
+simulated work, never on host speed: a gate fails on any runner when its
+speed-up is disabled, and never because the runner is slow.  Wall-time
+claims come from ``perfbench`` alternating parent/change pairs instead.
+
+The two cells:
+
+* the 8x-DRAM BFS: ``bfs`` (256 nodes, degree 6, block 64, seed 3) on
+  ``gf100@scale_dram_latency:8`` — memory-bound, SMs mostly parked;
+* the atlas cell: ``microbench ilp=1 iters=32`` on
+  ``gf106@scale_dram_latency:8`` — latency-bound, memory mostly idle.
+"""
+
+import concurrent.futures
+
+from repro.experiments import Experiment, ParallelExecutor
+from repro.gpu import GPU, get_config
+from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
+from repro.sensitivity import parse_transform
+from repro.simt.scoreboard import Scoreboard
+from repro.workloads import create_workload
+
+CELLS = {
+    "bfs": ("gf100", "bfs", dict(num_nodes=256, avg_degree=6,
+                                 block_dim=64, seed=3)),
+    "atlas": ("gf106", "microbench", dict(ilp=1, iters=32)),
+}
+
+
+def build_cell(cell, core):
+    """A fresh GPU for ``cell`` at 8x DRAM latency, and its workload."""
+    config_name, workload, params = CELLS[cell]
+    config = parse_transform("scale_dram_latency:8").apply(
+        get_config(config_name)).replace(core_backend=core)
+    return GPU(config), create_workload(workload, **params)
+
+
+def run_verified(gpu, workload):
+    """Run ``workload`` to completion; returns warp instructions issued."""
+    results = workload.run(gpu)
+    assert workload.verify(gpu)
+    return sum(result.instructions for result in results)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call bumps the returned counter."""
+    counter = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return counter
+
+
+def sm_cycle_calls(monkeypatch, cell, core):
+    """``cycle`` calls summed over every SM of one run of ``cell``."""
+    gpu, workload = build_cell(cell, core)
+    counters = [count_calls(monkeypatch, sm, "cycle") for sm in gpu.sms]
+    run_verified(gpu, workload)
+    return sum(counter[0] for counter in counters)
+
+
+class TestDeviceSkipGate:
+    """The vector core's device-level skip: a parked SM is passed over in
+    the drive loop instead of having its ``cycle`` called."""
+
+    def test_vector_calls_sm_cycle_a_quarter_as_often_as_fast(
+            self, monkeypatch):
+        fast = sm_cycle_calls(monkeypatch, "bfs", "fast")
+        vector = sm_cycle_calls(monkeypatch, "bfs", "vector")
+        assert 4 * vector <= fast, (vector, fast)
+
+
+class TestIdleFastForwardGate:
+    """The drive loop jumps the clock over cycles in which nothing can
+    happen instead of iterating through them."""
+
+    def test_bfs_at_8x_dram_latency_skips_most_cycles(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "vector")
+        iterations = count_calls(monkeypatch, gpu.memory_system, "cycle")
+        run_verified(gpu, workload)
+        assert 2 * iterations[0] <= gpu.cycle, (iterations[0], gpu.cycle)
+
+
+class TestMemoryWakeGate:
+    """The memory system skips its body until its cached wake time, so an
+    idle interconnect is not ticked on every drive-loop iteration."""
+
+    def test_atlas_cell_ticks_the_request_network_rarely(self, monkeypatch):
+        gpu, workload = build_cell("atlas", "vector")
+        memory = gpu.memory_system
+        iterations = count_calls(monkeypatch, memory, "cycle")
+        ticks = count_calls(monkeypatch, memory.request_network, "cycle")
+        run_verified(gpu, workload)
+        assert 20 * ticks[0] <= iterations[0], (ticks[0], iterations[0])
+
+
+class TestReadySetGate:
+    """The fast core parks blocked warps and re-wakes each one only when
+    its blocking condition can clear, so a scoreboard hazard is checked a
+    few times per issued instruction, not once per warp per cycle."""
+
+    def check(self, monkeypatch, cell):
+        gpu, workload = build_cell(cell, "fast")
+        checks = count_calls(monkeypatch, Scoreboard, "has_hazard")
+        issued = run_verified(gpu, workload)
+        assert issued > 0 and checks[0] <= 4 * issued, (checks[0], issued)
+
+    def test_atlas_cell_checks_hazards_per_issue(self, monkeypatch):
+        self.check(monkeypatch, "atlas")
+
+    def test_bfs_at_8x_dram_latency_checks_hazards_per_issue(
+            self, monkeypatch):
+        self.check(monkeypatch, "bfs")
+
+
+class TestWorkerPoolGate:
+    """A ParallelExecutor spawns its worker pool once and reuses it for
+    every ``run()`` until shut down."""
+
+    def test_three_runs_build_one_pool(self, monkeypatch):
+        pools = count_calls(monkeypatch, concurrent.futures,
+                            "ProcessPoolExecutor")
+        spec = Experiment.dynamic("gf100", "vecadd", n=64, buckets=4)
+        with ParallelExecutor(jobs=1) as executor:
+            for _ in range(3):
+                assert len(executor.run([spec])) == 1
+        assert pools[0] == 1
+
+
+class TestScanCountGate:
+    """A deterministic stand-in for a timing gate: at 8x DRAM latency the
+    banks are often all busy, and the channel must not rescan its queue
+    on each of those cycles."""
+
+    def test_bfs_at_8x_dram_latency_scans_rarely(self, monkeypatch):
+        counts = {"calls": 0, "none": 0}
+        for cls in (FCFSScheduler, FRFCFSScheduler):
+            def counting(self, *args, _select=cls.select, **kwargs):
+                index = _select(self, *args, **kwargs)
+                counts["calls"] += 1
+                counts["none"] += index is None
+                return index
+
+            monkeypatch.setattr(cls, "select", counting)
+        config = parse_transform("scale_dram_latency:8").apply(
+            get_config("gf100")).replace(core_backend="fast")
+        gpu = GPU(config)
+        workload = create_workload("bfs", num_nodes=256, avg_degree=6,
+                                   block_dim=64, seed=3)
+        workload.run(gpu)
+        assert workload.verify(gpu)
+        stats = gpu.collect_stats().as_dict()
+        requests = sum(value for key, value in stats.items()
+                       if ".dram" in key and key.endswith(".requests"))
+        busy = sum(value for key, value in stats.items()
+                   if key.endswith(".all_banks_busy_cycles"))
+        started = counts["calls"] - counts["none"]
+        assert requests > 0 and busy > 10 * requests
+        assert counts["none"] <= started
+        assert counts["calls"] <= 2 * requests

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.stages import Event
 from repro.core.tracker import LatencyTracker
-from repro.gpu import GPU, get_config
 from repro.isa.opcodes import MemSpace
 from repro.memory.address import AddressMapping
 from repro.memory.dram import (
@@ -17,9 +16,7 @@ from repro.memory.dram import (
     create_scheduler,
 )
 from repro.memory.request import MemoryRequest
-from repro.sensitivity import parse_transform
 from repro.utils.errors import ConfigurationError
-from repro.workloads import create_workload
 
 
 def make_channel(scheduler="frfcfs", reference_memory=False,
@@ -334,36 +331,3 @@ class TestBlockedCycleSkip:
             assert channel.stats["all_banks_busy_cycles"] > 2
         assert calls["fast"] == 3
         assert calls["reference"] > calls["fast"] + 2
-
-
-class TestScanCountGate:
-    """A deterministic stand-in for a timing gate: at 8x DRAM latency the
-    banks are often all busy, and the channel must not rescan its queue
-    on each of those cycles."""
-
-    def test_bfs_at_8x_dram_latency_scans_rarely(self, monkeypatch):
-        counts = {"calls": 0, "none": 0}
-        for cls in (FCFSScheduler, FRFCFSScheduler):
-            def counting(self, *args, _select=cls.select, **kwargs):
-                index = _select(self, *args, **kwargs)
-                counts["calls"] += 1
-                counts["none"] += index is None
-                return index
-
-            monkeypatch.setattr(cls, "select", counting)
-        config = parse_transform("scale_dram_latency:8").apply(
-            get_config("gf100")).replace(core_backend="fast")
-        gpu = GPU(config)
-        workload = create_workload("bfs", num_nodes=256, avg_degree=6,
-                                   block_dim=64, seed=3)
-        workload.run(gpu)
-        assert workload.verify(gpu)
-        stats = gpu.collect_stats().as_dict()
-        requests = sum(value for key, value in stats.items()
-                       if ".dram" in key and key.endswith(".requests"))
-        busy = sum(value for key, value in stats.items()
-                   if key.endswith(".all_banks_busy_cycles"))
-        started = counts["calls"] - counts["none"]
-        assert requests > 0 and busy > 10 * requests
-        assert counts["none"] <= started
-        assert counts["calls"] <= 2 * requests

@@ -8,6 +8,7 @@ ephemeral port with the real simulator underneath.
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -18,6 +19,7 @@ import pytest
 
 from repro.experiments import Experiment, Session
 from repro.store import MemoryStore, RequestBroker, ReproServer, StoreKey
+from repro.store.serve import MAX_BODY_BYTES
 from repro.utils.errors import ReproError
 
 CHEAP_SPEC = {"kind": "dynamic", "configs": ["gf100"],
@@ -202,6 +204,28 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, b"")
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length,status", [
+        ("-1", 400),
+        ("twelve", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+        ("2000000000", 413),
+    ])
+    def test_bad_content_length_is_refused_unread(self, server, length,
+                                                  status):
+        """The reply comes at once, without waiting for a body, and the
+        server closes the connection (reading to EOF ends)."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(f"POST /run HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
 
     def test_unknown_paths_are_404(self, server):
         for path in ("/nope", "/run/extra"):
