@@ -119,11 +119,7 @@ from repro.experiments import (
     run_smoke,
 )
 from repro.gpu import available_configs, get_config
-from repro.simt.backend import (
-    CORE_BACKENDS,
-    available_core_backends,
-    parse_core_spec,
-)
+from repro.simt.backend import CORE_BACKENDS, available_core_backends
 from repro.sensitivity import (
     TRANSFORM_REGISTRY,
     LatencyToleranceAtlas,
@@ -134,7 +130,6 @@ from repro.sensitivity import (
 from repro.utils.atomic import atomic_write_text
 from repro.utils.errors import (
     BundleError,
-    ConfigurationError,
     ExperimentError,
     ReproError,
 )
@@ -759,11 +754,6 @@ def _cmd_transforms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_core_option(option) -> str:
-    default = "adaptive" if option.default is None else repr(option.default)
-    return f"{option.name}:{option.type.__name__}={default}"
-
-
 def _cmd_cores(args: argparse.Namespace) -> int:
     if args.json:
         report = {
@@ -772,15 +762,6 @@ def _cmd_cores(args: argparse.Namespace) -> int:
                     "name": name,
                     "exact": CORE_BACKENDS.get(name).exact,
                     "description": CORE_BACKENDS.describe(name),
-                    "options": [
-                        {
-                            "name": option.name,
-                            "type": option.type.__name__,
-                            "default": option.default,
-                            "description": option.description,
-                        }
-                        for option in CORE_BACKENDS.get(name).options
-                    ],
                 }
                 for name in available_core_backends()
             ],
@@ -788,14 +769,10 @@ def _cmd_cores(args: argparse.Namespace) -> int:
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    rows = []
-    for name in available_core_backends():
-        backend = CORE_BACKENDS.get(name)
-        options = ", ".join(_format_core_option(option)
-                            for option in backend.options) or "-"
-        rows.append([name, "yes" if backend.exact else "no", options,
-                     CORE_BACKENDS.describe(name)])
-    print(format_table(["name", "exact", "options", "description"], rows,
+    rows = [[name, "yes" if CORE_BACKENDS.get(name).exact else "no",
+             CORE_BACKENDS.describe(name)]
+            for name in available_core_backends()]
+    print(format_table(["name", "exact", "description"], rows,
                        title="Registered simulation-core backends"))
     return 0
 
@@ -828,10 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_core_flag(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
-            "--core", metavar="NAME[:KEY=VALUE,...]",
-            help="simulation-core backend to run on, optionally with "
-                 "backend options, e.g. 'estimator:time_quantum=16' "
-                 "(see 'repro cores' for backends and their options); "
+            "--core", metavar="NAME",
+            help="simulation-core backend to run on (see 'repro cores'); "
                  "reference/fast/vector are byte-identical and share "
                  "stored results, estimator is approximate and stored "
                  "separately (default: each configuration's own choice, "
@@ -1221,20 +1196,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    core_spec = getattr(args, "core", None)
-    core: Optional[str] = None
-    core_options = {}
-    if core_spec:
-        try:
-            core, core_options = parse_core_spec(core_spec)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         _register_bundle_dirs(args.bundle_dir or [])
         args.session = Session(
-            core=core,
-            core_options=core_options,
+            core=getattr(args, "core", None),
             store=getattr(args, "store", None))
         result = args.func(args)
         _report_counters(args)

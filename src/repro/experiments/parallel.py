@@ -108,8 +108,7 @@ def _exit_when_orphaned(parent_pid: int) -> None:
 
 
 def _init_worker(configs: Dict[str, GPUConfig],
-                 core: Optional[str] = None,
-                 core_options: Optional[Dict[str, Any]] = None) -> None:
+                 core: Optional[str] = None) -> None:
     """Pool initializer: build this worker's long-lived session once.
 
     Also starts a daemon thread that ends the worker if the parent dies
@@ -120,8 +119,7 @@ def _init_worker(configs: Dict[str, GPUConfig],
 
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="repro-orphan-watch", daemon=True).start()
-    _WORKER_SESSION = Session(cache=True, configs=configs, core=core,
-                              core_options=core_options)
+    _WORKER_SESSION = Session(cache=True, configs=configs, core=core)
 
 
 def _run_in_worker(
@@ -180,23 +178,17 @@ class ParallelExecutor:
     core:
         Optional core-backend name propagated into every worker's
         session (see :class:`~repro.experiments.session.Session`).
-    core_options:
-        Backend-specific construction options propagated into every
-        worker's session alongside ``core`` (see
-        :class:`~repro.experiments.session.Session`).
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  configs: Optional[Mapping[str, GPUConfig]] = None,
                  mp_context: Union[str, Any, None] = None,
-                 core: Optional[str] = None,
-                 core_options: Optional[Mapping[str, Any]] = None) -> None:
+                 core: Optional[str] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or default_jobs()
         self._configs = dict(configs or {})
         self._core = core
-        self._core_options = dict(core_options or {})
         if mp_context is None:
             mp_context = _start_method()
         if isinstance(mp_context, str):
@@ -220,7 +212,7 @@ class ParallelExecutor:
                 max_workers=self.jobs,
                 mp_context=self._mp_context,
                 initializer=_init_worker,
-                initargs=(self._configs, self._core, self._core_options),
+                initargs=(self._configs, self._core),
             )
         return self._pool
 

@@ -62,10 +62,7 @@ from repro.experiments.spec import (
 )
 from repro.gpu import GPU, get_config, table_i_generations
 from repro.gpu.config import GPUConfig
-from repro.simt.backend import (
-    core_backend_is_exact,
-    validate_core_options,
-)
+from repro.simt.backend import core_backend_is_exact
 from repro.utils.errors import ExperimentError
 from repro.workloads import create_workload
 from repro.workloads.base import Workload
@@ -138,12 +135,6 @@ class Session:
         when ``None`` (the default) each configuration's own
         ``core_backend`` field decides.  This is the programmatic face
         of the CLI's ``--core`` flag.
-    core_options:
-        Backend-specific options applied alongside ``core`` (the
-        programmatic face of ``--core name:key=value``), e.g.
-        ``Session(core="estimator", core_options={"time_quantum": 16})``.
-        Keys are validated eagerly against the backend's declared
-        options; requires ``core`` to be set.
     store:
         Optional persistent result store: a
         :class:`~repro.store.ResultStore` instance, or a target string /
@@ -159,20 +150,9 @@ class Session:
     def __init__(self, cache: bool = True,
                  configs: Optional[Mapping[str, GPUConfig]] = None,
                  core: Optional[str] = None,
-                 store: Union[None, str, os.PathLike, Any] = None,
-                 core_options: Optional[Mapping[str, Any]] = None) -> None:
+                 store: Union[None, str, os.PathLike, Any] = None) -> None:
         self.cache_enabled = cache
         self.core = core
-        self.core_options: Dict[str, Any] = dict(core_options or {})
-        if self.core_options:
-            if core is None:
-                raise ExperimentError(
-                    "core_options requires core= to name the backend "
-                    "the options configure"
-                )
-            # Fail at session construction, not at the first run, so a
-            # typo in an option name surfaces immediately.
-            validate_core_options(core, self.core_options)
         self._cache: Dict[str, RunRecord] = {}
         self._local_configs: Dict[str, GPUConfig] = dict(configs or {})
         self.cache_hits = 0
@@ -209,12 +189,8 @@ class Session:
             config = self._local_configs[name]
         else:
             config = get_config(name)
-        if self.core is not None:
-            if config.core_backend != self.core:
-                config = config.replace(core_backend=self.core)
-            if (self.core_options
-                    and dict(config.core_options) != self.core_options):
-                config = config.replace(core_options=self.core_options)
+        if self.core is not None and config.core_backend != self.core:
+            config = config.replace(core_backend=self.core)
         return config
 
     # ------------------------------------------------------------------
@@ -379,8 +355,7 @@ class Session:
             unique = [specs[indices[0]] for indices in pending.values()]
             with ParallelExecutor(jobs=jobs,
                                   configs=self._local_configs,
-                                  core=self.core,
-                                  core_options=self.core_options) as executor:
+                                  core=self.core) as executor:
                 for completed in executor.imap(unique):
                     indices = pending[completed.spec_hash]
                     record = completed.record

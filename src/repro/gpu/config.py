@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.memory.address import AddressMapping
 from repro.memory.interconnect import InterconnectConfig
@@ -71,19 +71,6 @@ class GPUConfig:
         approximate cycle counts, keyed separately in the result
         store).  Validated against the registry when a
         :class:`~repro.gpu.gpu.GPU` is built.
-    core_options:
-        Backend-specific construction options, e.g.
-        ``GPUConfig(core_backend="estimator",
-        core_options={"time_quantum": 16})``.  Keys are validated
-        eagerly against the backend's declared
-        :attr:`~repro.simt.backend.CoreBackend.options` when a GPU is
-        built — an unknown key raises
-        :class:`~repro.utils.errors.ConfigurationError` naming the
-        backend and the key.  The options are part of this
-        configuration's ``repr`` (stored key-sorted, so the form is
-        canonical) and therefore of the persistent store's
-        ``config_hash``: results produced under different options are
-        never served for one another.
     interconnect:
         Crossbar parameters shared by the request and reply networks.
     mapping:
@@ -106,7 +93,6 @@ class GPUConfig:
     global_memory_bytes: int = 64 * 1024 * 1024
     max_cycles: int = 50_000_000
     core_backend: str = "fast"
-    core_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.core_backend, str) or not self.core_backend:
@@ -114,32 +100,6 @@ class GPUConfig:
                 "core_backend must be a non-empty backend name (see "
                 "repro.simt.backend.available_core_backends())"
             )
-        if not isinstance(self.core_options, Mapping):
-            raise ConfigurationError(
-                "core_options must be a mapping of option name to value, "
-                f"got {type(self.core_options).__name__}"
-            )
-        if any(not isinstance(key, str) for key in self.core_options):
-            raise ConfigurationError("core_options keys must be strings")
-        # Canonical key-sorted form, so equal option sets always repr —
-        # and therefore store-fingerprint — identically.
-        normalized: Dict[str, Any] = {
-            key: self.core_options[key] for key in sorted(self.core_options)
-        }
-        if normalized:
-            # Eager rejection of unknown option keys (and coercion of
-            # values to their declared types, e.g. "16" -> 16, so equal
-            # settings fingerprint identically).  Gated on the backend
-            # being registered: an unregistered name stays untouched
-            # here and fails with the full backend-unknown diagnostic
-            # at GPU construction instead.
-            from repro.simt.backend import (CORE_BACKENDS,
-                                            validate_core_options)
-
-            if self.core_backend in CORE_BACKENDS:
-                normalized = validate_core_options(self.core_backend,
-                                                   normalized)
-        object.__setattr__(self, "core_options", normalized)
         if self.num_sms < 1:
             raise ConfigurationError("num_sms must be >= 1")
         if self.global_memory_bytes < 1024:

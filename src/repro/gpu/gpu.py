@@ -35,7 +35,7 @@ from repro.gpu.config import GPUConfig
 from repro.isa.program import Program
 from repro.memory.globalmem import GlobalMemory
 from repro.memory.subsystem import MemorySystem
-from repro.simt.backend import get_core_backend, validate_core_options
+from repro.simt.backend import get_core_backend
 from repro.simt.core import CTAContext, KernelLaunch, StreamingMultiprocessor
 from repro.utils.errors import ConfigurationError, SimulationError
 from repro.utils.stats import _ATTRIBUTION, StatCounters
@@ -172,11 +172,6 @@ class GPU:
         # straight-line (reference) loop.
         backend = get_core_backend(config.core_backend)
         self.core_backend = backend
-        # Backend options are validated eagerly — an unknown key raises
-        # here, naming the backend and the key, rather than being
-        # silently dropped on the factory floor.
-        core_options = validate_core_options(
-            config.core_backend, getattr(config, "core_options", {}) or {})
         self.memory_system = MemorySystem(
             num_sms=config.num_sms,
             mapping=config.mapping,
@@ -192,7 +187,6 @@ class GPU:
                 memory_system=self.memory_system,
                 global_memory=self.global_memory,
                 tracker=self.tracker,
-                **core_options,
             )
             for sm_id in range(config.num_sms)
         ]

@@ -11,11 +11,13 @@ descriptor registered by name in an open :class:`~repro.utils.registry
 .Registry`, so a fourth backend is one ``register_core_backend`` call
 away and every consumer dispatches through the same names.
 
-A core is chosen in exactly two ways: a configuration's
+A core is chosen by name alone, in exactly two ways: a configuration's
 ``GPUConfig.core_backend`` field, and the per-run ``core=`` override on
-``Session``, ``ParallelExecutor`` and the CLI (``--core NAME[:k=v]``,
-parsed by :func:`parse_core_spec`).  The store's ``config_hash`` reads
-the resolved ``core_backend`` name.
+``Session``, ``ParallelExecutor`` and the CLI (``--core NAME``).  A
+backend takes no construction options.  The store's ``config_hash``
+reads the resolved ``core_backend`` name.  Every backend builds the
+same :class:`~repro.simt.ldst.LoadStoreUnit`; what differs between them
+is the per-cycle engine that issues into it.
 
 The backend contract
 --------------------
@@ -62,52 +64,13 @@ separately and its results are never served for an exact-core request
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, List
 
 from repro.utils.errors import ConfigurationError, RegistryError
 from repro.utils.registry import Registry
 
 #: Open registry of simulation-core backends, keyed by backend name.
 CORE_BACKENDS = Registry("core backend")
-
-
-@dataclass(frozen=True)
-class BackendOption:
-    """One construction-time option a core backend accepts.
-
-    Declared on :attr:`CoreBackend.options` so every consumer — the
-    ``GPUConfig.core_options`` validator, the ``--core name:key=value``
-    CLI parser, and the ``repro cores`` listing — shares a single source
-    of truth for what a backend can be configured with.
-
-    Attributes
-    ----------
-    name:
-        Option key, passed to the backend factory as a keyword argument.
-    type:
-        Python type of the value (used to coerce CLI strings and to
-        validate programmatic values).
-    default:
-        Default value when the option is not supplied.  ``None`` means
-        the backend computes a value itself (e.g. the estimator's
-        adaptive time quantum).
-    description:
-        One-line human description (shown by ``repro cores``).
-    """
-
-    name: str
-    type: Type[Any] = int
-    default: Optional[Any] = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -135,11 +98,6 @@ class CoreBackend:
         free of *all* event-skipping machinery.
     description:
         One-line human description (shown by ``repro cores``).
-    options:
-        The :class:`BackendOption` descriptors this backend accepts via
-        ``GPUConfig.core_options`` / ``--core name:key=value``.  Unknown
-        keys are rejected eagerly at GPU construction (see
-        :func:`validate_core_options`).
     """
 
     name: str
@@ -147,7 +105,6 @@ class CoreBackend:
     exact: bool = True
     reference_memory: bool = False
     description: str = ""
-    options: Tuple[BackendOption, ...] = ()
 
 
 def register_core_backend(backend: CoreBackend) -> CoreBackend:
@@ -189,72 +146,6 @@ def available_core_backends() -> List[str]:
     """Sorted names of all registered core backends."""
     _load_builtin_backends()
     return CORE_BACKENDS.names()
-
-
-def validate_core_options(name: str,
-                          options: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate ``options`` against backend ``name``'s declared options.
-
-    Returns the validated (and type-coerced) option dict.  Unknown keys
-    are rejected eagerly with a :class:`ConfigurationError` naming the
-    backend and the bad key — a silently ignored option would make a
-    run's results lie about how they were produced.  Values are coerced
-    through each option's declared ``type`` so string values from the
-    CLI and config files behave like programmatic ones.
-    """
-    if not options:
-        return {}
-    backend = get_core_backend(name)
-    declared = {option.name: option for option in backend.options}
-    validated: Dict[str, Any] = {}
-    for key in sorted(options):
-        option = declared.get(key)
-        if option is None:
-            accepted = (", ".join(sorted(declared))
-                        if declared else "none")
-            raise ConfigurationError(
-                f"core backend {name!r} does not accept option {key!r} "
-                f"(accepted options: {accepted})"
-            )
-        value = options[key]
-        try:
-            validated[key] = option.type(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"core backend {name!r} option {key!r} expects "
-                f"{option.type.__name__}, got {value!r}: {exc}"
-            ) from None
-    return validated
-
-
-def parse_core_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split a ``name[:key=value,...]`` core spec into name and options.
-
-    This is the CLI grammar behind ``--core estimator:time_quantum=16``:
-    the backend name, optionally followed by ``:`` and a comma-separated
-    list of ``key=value`` options.  Values are returned as strings —
-    :func:`validate_core_options` coerces them through each option's
-    declared type, so the CLI and programmatic paths share one
-    validation/coercion step.  Malformed specs raise
-    :class:`ConfigurationError`.
-    """
-    name, sep, rest = spec.partition(":")
-    if not name:
-        raise ConfigurationError(
-            f"malformed core spec {spec!r}: expected "
-            f"'name' or 'name:key=value[,key=value...]'"
-        )
-    options: Dict[str, str] = {}
-    if sep:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq or not key:
-                raise ConfigurationError(
-                    f"malformed core option {item!r} in {spec!r}: "
-                    f"expected key=value"
-                )
-            options[key] = value
-    return name, options
 
 
 def core_backend_is_exact(name: str) -> bool:

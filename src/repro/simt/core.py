@@ -156,10 +156,6 @@ class StreamingMultiprocessor:
     #: ``_sm_wake``/``_reply_entries`` gate contract of the vector core;
     #: the straight-line engines run their body every cycle.
     supports_device_skip = False
-    #: LD/ST unit implementation this engine builds.  Backends may swap
-    #: in a behaviour-identical subclass (the vector core uses the
-    #: batched variant) without touching the construction sequence.
-    ldst_class = LoadStoreUnit
 
     def __init__(
         self,
@@ -178,7 +174,7 @@ class StreamingMultiprocessor:
             create_warp_scheduler(config.warp_scheduler, index)
             for index in range(config.num_schedulers)
         ]
-        self.ldst = self.ldst_class(sm_id, config, memory_system, tracker)
+        self.ldst = LoadStoreUnit(sm_id, config, memory_system, tracker)
         self.ldst.on_load_complete = self._on_load_complete
         self.ctas: Dict[int, CTAContext] = {}
         self._warp_cta: Dict[int, CTAContext] = {}

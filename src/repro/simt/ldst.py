@@ -11,6 +11,13 @@ Timestamps recorded here correspond to the first two components of the
 paper's Figure 1 breakdown: the time between instruction issue and the L1
 tag access is part of "SM Base", and the time a missed request spends
 waiting in the miss queue for interconnect credits is "L1toICNT".
+
+Every core backend builds this one unit.  Its per-cycle path is tuned
+for throughput: counters are pre-interned
+:meth:`~repro.utils.stats.StatCounters.slot` increments, the L1 tag stage
+inlines the cache/MSHR/miss-queue probes, and response draining tests
+the raw reply deque the memory system exposes.  The stall counters are
+pinned to hand-computed counts in ``tests/test_simt_ldst.py``.
 """
 
 from __future__ import annotations
@@ -86,17 +93,12 @@ class PendingMemoryInstruction:
         self.addresses = addresses
         self.mask = mask
         self.token = token
-        self.remaining_lines = list(lines)
+        self.remaining_lines = lines
 
     @property
     def is_shared(self) -> bool:
         """Whether this instruction targets shared memory."""
         return self.instruction.space is MemSpace.SHARED
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every coalesced access has been handed to the L1 stage."""
-        return not self.remaining_lines
 
 
 class LoadStoreUnit:
@@ -139,6 +141,33 @@ class LoadStoreUnit:
         # rounded up to the next quantum boundary, coarsening the event
         # timeline (approximate, never-early cycle counts).
         self.time_quantum = 1
+        stats = self.stats
+        self._s_coalesced = stats.slot("coalesced_accesses")
+        self._s_accepted = stats.slot("instructions_accepted")
+        self._s_responses = stats.slot("responses")
+        self._s_missq_stall = stats.slot("miss_queue_stall_cycles")
+        self._s_merge_stall = stats.slot("mshr_merge_stall_cycles")
+        self._s_mshr_full_stall = stats.slot("mshr_full_stall_cycles")
+        self._s_stage_full = stats.slot("l1_stage_full_cycles")
+        self._s_icnt_stall = stats.slot("icnt_stall_cycles")
+        self._s_mshr_merges = stats.slot("mshr_merges")
+        if self.l1 is not None:
+            self._s_l1_misses = self.l1.stats.slot("misses")
+            self._s_l1_hits = self.l1.stats.slot("hits")
+            self._l1_sets = self.l1._sets
+            self._l1_num_sets = self.l1.geometry.num_sets
+        self._caches_local = config.l1.caches_space(True)
+        self._caches_global = config.l1.caches_space(False)
+        self._mshr_entries = self.l1_mshr._entries
+        self._mshr_capacity = self.l1_mshr.num_entries
+        self._mshr_max_merged = self.l1_mshr.max_merged
+        self._miss_entries = self.miss_queue.raw()
+        self._miss_capacity = self.miss_queue.capacity
+        self._miss_unbounded = self.miss_queue.unbounded
+        self._inject_rate = config.icnt_inject_rate
+        self._reply_entries = memory_system.response_entries(sm_id)
+        self._hit_delay = config.l1.hit_latency + config.writeback_latency
+        self._sm_base = config.sm_base_latency
 
     def _stamp(self, time: int) -> int:
         """``time`` rounded up to the LD/ST time quantum (identity when 1)."""
@@ -146,6 +175,10 @@ class LoadStoreUnit:
         if quantum <= 1:
             return time
         return -(-time // quantum) * quantum
+
+    def _miss_queue_full(self) -> bool:
+        return (not self._miss_unbounded
+                and len(self._miss_entries) >= self._miss_capacity)
 
     # ------------------------------------------------------------------
     # Issue-side interface (called by the SM)
@@ -162,7 +195,12 @@ class LoadStoreUnit:
         mask: np.ndarray,
         now: int,
     ) -> Optional[LoadToken]:
-        """Accept a memory instruction; returns a token for loads."""
+        """Accept a memory instruction; returns a token for loads.
+
+        The unit keeps ``addresses`` and ``mask`` without copying them:
+        the caller hands over freshly built arrays and must not reuse
+        them for a later instruction.
+        """
         token: Optional[LoadToken] = None
         if instruction.is_load:
             token = LoadToken(warp, instruction, now, instruction.space)
@@ -170,9 +208,10 @@ class LoadStoreUnit:
         if instruction.space is not MemSpace.SHARED:
             active = addresses[mask].astype(np.int64)
             if len(active):
-                unique = np.unique((active // self.line_size) * self.line_size)
-                lines = [int(line) for line in unique]
-                self.stats.add("coalesced_accesses", len(lines))
+                unique = np.unique(
+                    (active // self.line_size) * self.line_size)
+                lines = unique.tolist()
+                self.stats.inc(self._s_coalesced, len(lines))
         if token is not None:
             if instruction.space is MemSpace.SHARED or lines:
                 token.expected = max(len(lines), 1)
@@ -185,12 +224,13 @@ class LoadStoreUnit:
                     (self._stamp(now + 1), next(self._sequence), None, token,
                      True),
                 )
-        if instruction.space is MemSpace.SHARED or lines or instruction.is_store:
+        if (instruction.space is MemSpace.SHARED or lines
+                or instruction.is_store):
             self.instruction_queue.append(
-                PendingMemoryInstruction(warp, instruction, addresses.copy(),
-                                         mask.copy(), token, lines)
+                PendingMemoryInstruction(warp, instruction, addresses,
+                                         mask, token, lines)
             )
-        self.stats.add("instructions_accepted")
+        self.stats.inc(self._s_accepted)
         return token
 
     # ------------------------------------------------------------------
@@ -237,20 +277,20 @@ class LoadStoreUnit:
         pure no-op in the unguarded version (no state change, no stat
         counters), so the guards are behaviour-neutral.
         """
-        self._accept_responses(now)
+        if self._reply_entries:
+            self._accept_responses(now)
         if self.l1_access_queue:
             self._access_l1(now)
-        if self.miss_queue:
+        if self._miss_entries:
             self._drain_miss_queue(now)
         if self.instruction_queue:
             self._generate_accesses(now)
 
     def _accept_responses(self, now: int) -> None:
-        while True:
-            response = self.memory_system.pop_response(self.sm_id)
-            if response is None:
-                return
-            self._handle_response(response, now)
+        replies = self._reply_entries
+        pop_response = self.memory_system.pop_response
+        while replies:
+            self._handle_response(pop_response(self.sm_id), now)
 
     def _handle_response(self, response: MemoryRequest, now: int) -> None:
         """Fill the L1 (when applicable) and schedule register writebacks.
@@ -275,318 +315,21 @@ class LoadStoreUnit:
                 (writeback_time, next(self._sequence), waiter,
                  waiter.load_token, False),
             )
-        self.stats.add("responses")
+        self.stats.inc(self._s_responses)
 
     def _l1_caches_space(self, space: MemSpace) -> bool:
-        return self.config.l1.caches_space(space is MemSpace.LOCAL)
-
-    def _access_l1(self, now: int) -> None:
-        if not self.l1_access_queue:
-            return
-        ready_time, request = self.l1_access_queue[0]
-        if ready_time > now:
-            return
-        self.tracker.record_event(request, Event.L1_ACCESS, now)
-        caches = self._l1_caches_space(request.space)
-        if request.is_write:
-            if self.miss_queue.full():
-                self.stats.add("miss_queue_stall_cycles")
-                return
-            self.l1_access_queue.popleft()
-            if caches and self.l1 is not None:
-                self.l1.invalidate(request.address)
-            self.miss_queue.push(request)
-            return
-        if not caches or self.l1 is None:
-            if self.miss_queue.full():
-                self.stats.add("miss_queue_stall_cycles")
-                return
-            self.l1_access_queue.popleft()
-            self.miss_queue.push(request)
-            return
-        line = self.l1.line_address(request.address)
-        if self.l1.probe(request.address):
-            self.l1_access_queue.popleft()
-            self.l1.access(request.address)
-            request.l1_hit = True
-            heapq.heappush(
-                self._writebacks,
-                (self._stamp(now + self.config.l1.hit_latency
-                             + self.config.writeback_latency),
-                 next(self._sequence), request, request.load_token, True),
-            )
-            return
-        if self.l1_mshr.lookup(line) is not None:
-            if self.l1_mshr.can_merge(line):
-                self.l1_access_queue.popleft()
-                self.l1.stats.add("misses")
-                self.l1_mshr.merge(line, request)
-                self.stats.add("mshr_merges")
-            else:
-                self.stats.add("mshr_merge_stall_cycles")
-            return
-        if self.l1_mshr.full():
-            self.stats.add("mshr_full_stall_cycles")
-            return
-        if self.miss_queue.full():
-            self.stats.add("miss_queue_stall_cycles")
-            return
-        self.l1_access_queue.popleft()
-        self.l1.stats.add("misses")
-        self.l1_mshr.allocate(line, request)
-        self.miss_queue.push(request)
-
-    def _drain_miss_queue(self, now: int) -> None:
-        for _ in range(self.config.icnt_inject_rate):
-            request = self.miss_queue.peek()
-            if request is None:
-                return
-            if not self.memory_system.try_inject(self.sm_id, request, now):
-                self.stats.add("icnt_stall_cycles")
-                return
-            self.miss_queue.pop()
-
-    def _generate_accesses(self, now: int) -> None:
-        """Turn the head instruction's next coalesced access into a request.
-
-        At most one access is generated per cycle, and only while the L1
-        stage has room — any further backlog stays inside the instruction
-        queue where it delays the warp, not the per-request latency
-        accounting (matching the paper's instrumentation, which starts a
-        request's lifetime at the SM's memory pipeline).
-        """
-        if not self.instruction_queue:
-            return
-        pending = self.instruction_queue[0]
-        if pending.is_shared:
-            self.instruction_queue.popleft()
-            self._process_shared(pending, now)
-            return
-        if pending.exhausted:
-            self.instruction_queue.popleft()
-            return
-        if len(self.l1_access_queue) >= self.L1_STAGE_DEPTH:
-            self.stats.add("l1_stage_full_cycles")
-            return
-        line = pending.remaining_lines.pop(0)
-        request = MemoryRequest(
-            address=line,
-            size=self.line_size,
-            is_write=pending.instruction.is_store,
-            space=pending.instruction.space,
-            sm_id=self.sm_id,
-            warp_id=pending.warp.warp_id,
-            pc=pending.instruction.pc,
-            tracked=True,
-            load_token=pending.token,
-            launch_id=pending.warp.launch_id,
-        )
-        self.tracker.record_event(request, Event.ISSUE, now)
-        self.l1_access_queue.append(
-            (self._stamp(now + self.config.sm_base_latency), request)
-        )
-        if pending.exhausted:
-            self.instruction_queue.popleft()
-
-    def _process_shared(self, pending: PendingMemoryInstruction,
-                        now: int) -> None:
-        """Model a shared-memory access: latency plus bank-conflict cycles."""
-        active = pending.addresses[pending.mask].astype(np.int64)
-        if len(active):
-            banks = (active // 4) % self.config.shared_banks
-            _, counts = np.unique(banks, return_counts=True)
-            conflict_degree = int(counts.max())
-        else:
-            conflict_degree = 1
-        extra = conflict_degree - 1
-        self.stats.add("shared_accesses")
-        self.stats.add("shared_bank_conflict_cycles", extra)
-        if pending.token is not None:
-            complete = self._stamp(now + self.config.shared_latency + extra)
-            heapq.heappush(
-                self._writebacks,
-                (complete, next(self._sequence), None, pending.token, True),
-            )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def busy(self) -> bool:
-        """Whether any work is buffered inside the LD/ST unit."""
-        return bool(
-            self.instruction_queue
-            or self.l1_access_queue
-            or self.miss_queue
-            or self._writebacks
-            or len(self.l1_mshr)
-        )
-
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which the unit has work to do."""
-        candidates = []
-        if self._writebacks:
-            candidates.append(max(self._writebacks[0][0], now + 1))
-        if self.l1_access_queue:
-            candidates.append(max(self.l1_access_queue[0][0], now + 1))
-        if self.miss_queue or self.instruction_queue:
-            candidates.append(now + 1)
-        return min(candidates) if candidates else None
-
-    def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
-        """Combined statistics of the LD/ST unit, L1 cache, and L1 MSHRs.
-
-        With ``launch_id``, only the counters attributed to that kernel
-        launch are collected.
-        """
-        combined = StatCounters(prefix=f"sm{self.sm_id}")
-        combined.merge(self.stats.view(launch_id))
-        if self.l1 is not None:
-            combined.merge(self.l1.stats.view(launch_id))
-        combined.merge(self.l1_mshr.stats.view(launch_id))
-        return combined
-
-
-class BatchedLoadStoreUnit(LoadStoreUnit):
-    """Batch-tuned LD/ST unit used by the vector core backends.
-
-    Behaviour-identical to :class:`LoadStoreUnit` — same queues, same
-    stall conditions, same counter names and values, same tracker events
-    in the same order — but with the per-cycle hot path restructured for
-    throughput:
-
-    * every counter touched per access is a pre-interned
-      :meth:`~repro.utils.stats.StatCounters.slot` increment instead of
-      a string-keyed dict lookup;
-    * per-lane coalescing hands the unique line vector straight to the
-      queue (``ndarray.tolist``) and drops the defensive address/mask
-      copies — the issuing cores construct fresh arrays per memory
-      instruction, so nothing aliases them (callers that reuse buffers
-      must use the base class);
-    * the L1 tag path inlines the cache/MSHR/miss-queue probes (line
-      math, set lookup, capacity checks) that the base class reaches
-      through one method call each;
-    * response draining tests the raw reply deque the memory system
-      exposes for quiescence gating instead of polling ``pop_response``
-      until it returns ``None``.
-
-    Byte-identity with the base unit across the golden workloads is
-    pinned by ``tests/test_simt_ldst.py`` and the golden-equivalence
-    suite (the vector core runs this unit everywhere).
-    """
-
-    def __init__(
-        self,
-        sm_id: int,
-        config: CoreConfig,
-        memory_system: MemorySystem,
-        tracker: LatencyTracker,
-    ) -> None:
-        super().__init__(sm_id, config, memory_system, tracker)
-        stats = self.stats
-        self._s_coalesced = stats.slot("coalesced_accesses")
-        self._s_accepted = stats.slot("instructions_accepted")
-        self._s_responses = stats.slot("responses")
-        self._s_missq_stall = stats.slot("miss_queue_stall_cycles")
-        self._s_merge_stall = stats.slot("mshr_merge_stall_cycles")
-        self._s_mshr_full_stall = stats.slot("mshr_full_stall_cycles")
-        self._s_stage_full = stats.slot("l1_stage_full_cycles")
-        self._s_icnt_stall = stats.slot("icnt_stall_cycles")
-        self._s_mshr_merges = stats.slot("mshr_merges")
-        if self.l1 is not None:
-            self._s_l1_misses = self.l1.stats.slot("misses")
-            self._s_l1_hits = self.l1.stats.slot("hits")
-            self._l1_sets = self.l1._sets
-            self._l1_num_sets = self.l1.geometry.num_sets
-        self._caches_local = config.l1.caches_space(True)
-        self._caches_global = config.l1.caches_space(False)
-        self._mshr_entries = self.l1_mshr._entries
-        self._mshr_capacity = self.l1_mshr.num_entries
-        self._mshr_max_merged = self.l1_mshr.max_merged
-        self._miss_entries = self.miss_queue.raw()
-        self._miss_capacity = self.miss_queue.capacity
-        self._miss_unbounded = self.miss_queue.unbounded
-        self._inject_rate = config.icnt_inject_rate
-        self._reply_entries = memory_system.response_entries(sm_id)
-        self._hit_delay = config.l1.hit_latency + config.writeback_latency
-        self._sm_base = config.sm_base_latency
-
-    def _miss_queue_full(self) -> bool:
-        return (not self._miss_unbounded
-                and len(self._miss_entries) >= self._miss_capacity)
-
-    # ------------------------------------------------------------------
-    # Issue-side interface
-    # ------------------------------------------------------------------
-    def issue(
-        self,
-        warp: Warp,
-        instruction: Instruction,
-        addresses: np.ndarray,
-        mask: np.ndarray,
-        now: int,
-    ) -> Optional[LoadToken]:
-        token: Optional[LoadToken] = None
-        if instruction.is_load:
-            token = LoadToken(warp, instruction, now, instruction.space)
-        lines: List[int] = []
-        if instruction.space is not MemSpace.SHARED:
-            active = addresses[mask].astype(np.int64)
-            if len(active):
-                unique = np.unique(
-                    (active // self.line_size) * self.line_size)
-                lines = unique.tolist()
-                self.stats.inc(self._s_coalesced, len(lines))
-        if token is not None:
-            if instruction.space is MemSpace.SHARED or lines:
-                token.expected = max(len(lines), 1)
-            else:
-                token.expected = 1
-                heapq.heappush(
-                    self._writebacks,
-                    (self._stamp(now + 1), next(self._sequence), None, token,
-                     True),
-                )
-        if (instruction.space is MemSpace.SHARED or lines
-                or instruction.is_store):
-            # No address/mask copies: the vector core hands the unit
-            # freshly built arrays every issue (see class docstring).
-            self.instruction_queue.append(
-                PendingMemoryInstruction(warp, instruction, addresses,
-                                         mask, token, lines)
-            )
-        self.stats.inc(self._s_accepted)
-        return token
-
-    # ------------------------------------------------------------------
-    # Backend processing
-    # ------------------------------------------------------------------
-    def cycle(self, now: int) -> None:
-        if self._reply_entries:
-            self._accept_responses(now)
-        if self.l1_access_queue:
-            self._access_l1(now)
-        if self._miss_entries:
-            self._drain_miss_queue(now)
-        if self.instruction_queue:
-            self._generate_accesses(now)
-
-    def _accept_responses(self, now: int) -> None:
-        replies = self._reply_entries
-        pop_response = self.memory_system.pop_response
-        while replies:
-            self._handle_response(pop_response(self.sm_id), now)
+        return (self._caches_local if space is MemSpace.LOCAL
+                else self._caches_global)
 
     def _access_l1(self, now: int) -> None:
         queue = self.l1_access_queue
         ready_time, request = queue[0]
         if ready_time > now:
             return
-        tracker = self.tracker
-        if tracker.enabled:
+        if self.tracker.enabled:
             request.timestamps[Event.L1_ACCESS] = now
         stats = self.stats
-        space = request.space
-        caches = (self._caches_local if space is MemSpace.LOCAL
+        caches = (self._caches_local if request.space is MemSpace.LOCAL
                   else self._caches_global)
         l1 = self.l1
         if request.is_write:
@@ -658,6 +401,14 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
             self.miss_queue.pop()
 
     def _generate_accesses(self, now: int) -> None:
+        """Turn the head instruction's next coalesced access into a request.
+
+        At most one access is generated per cycle, and only while the L1
+        stage has room — any further backlog stays inside the instruction
+        queue where it delays the warp, not the per-request latency
+        accounting (matching the paper's instrumentation, which starts a
+        request's lifetime at the SM's memory pipeline).
+        """
         pending = self.instruction_queue[0]
         if pending.is_shared:
             self.instruction_queue.popleft()
@@ -692,10 +443,41 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
         if not remaining:
             self.instruction_queue.popleft()
 
+    def _process_shared(self, pending: PendingMemoryInstruction,
+                        now: int) -> None:
+        """Model a shared-memory access: latency plus bank-conflict cycles."""
+        active = pending.addresses[pending.mask].astype(np.int64)
+        if len(active):
+            banks = (active // 4) % self.config.shared_banks
+            _, counts = np.unique(banks, return_counts=True)
+            conflict_degree = int(counts.max())
+        else:
+            conflict_degree = 1
+        extra = conflict_degree - 1
+        self.stats.add("shared_accesses")
+        self.stats.add("shared_bank_conflict_cycles", extra)
+        if pending.token is not None:
+            complete = self._stamp(now + self.config.shared_latency + extra)
+            heapq.heappush(
+                self._writebacks,
+                (complete, next(self._sequence), None, pending.token, True),
+            )
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def busy(self) -> bool:
+        """Whether any work is buffered inside the LD/ST unit."""
+        return bool(
+            self.instruction_queue
+            or self.l1_access_queue
+            or self.miss_queue
+            or self._writebacks
+            or len(self.l1_mshr)
+        )
+
     def next_event_time(self, now: int) -> Optional[int]:
+        """Earliest future cycle at which the unit has work to do."""
         later = now + 1
         best = None
         writebacks = self._writebacks
@@ -713,3 +495,16 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
             if best is None or later < best:
                 best = later
         return best
+
+    def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
+        """Combined statistics of the LD/ST unit, L1 cache, and L1 MSHRs.
+
+        With ``launch_id``, only the counters attributed to that kernel
+        launch are collected.
+        """
+        combined = StatCounters(prefix=f"sm{self.sm_id}")
+        combined.merge(self.stats.view(launch_id))
+        if self.l1 is not None:
+            combined.merge(self.l1.stats.view(launch_id))
+        combined.merge(self.l1_mshr.stats.view(launch_id))
+        return combined

@@ -23,11 +23,14 @@ event, or a memory response — the one asynchronous wake source, checked
 explicitly).  A fully quiescent fast-path cycle's only observable effect
 is the per-scheduler issue-idle counters, which the skip replays, so the
 vector core stays **byte-identical** to the reference engine and is
-pinned by the same golden-equivalence suite.
+pinned by the same golden-equivalence suite.  Memory instructions go
+through the one :class:`~repro.simt.ldst.LoadStoreUnit` every backend
+builds.
 
 :class:`VectorEstimatorCore` (``estimator``) reuses all of the above but
-sets a LD/ST *time quantum*: memory completion times are rounded up to
-the next quantum boundary, which coarsens the event timeline (fewer
+sets an adaptive LD/ST *time quantum* (1/24 of the configuration's
+fastest memory service latency): memory completion times are rounded up
+to the next quantum boundary, which coarsens the event timeline (fewer
 distinct wake times, longer skips) at the cost of approximate cycle
 counts.  Functional results and instruction counts stay exact; the
 cycle-count error is measured and bounded in
@@ -43,13 +46,8 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.isa.program import Program
-from repro.simt.backend import (
-    BackendOption,
-    CoreBackend,
-    register_core_backend,
-)
+from repro.simt.backend import CoreBackend, register_core_backend
 from repro.simt.core import FastCore, KernelLaunch, StreamingMultiprocessor
-from repro.simt.ldst import BatchedLoadStoreUnit
 from repro.simt.scheduler import (
     GreedyThenOldestScheduler,
     LooseRoundRobinScheduler,
@@ -138,10 +136,6 @@ class VectorCore(FastCore):
     #: issue-idle counters), so the GPU may evaluate the gate itself and
     #: batch-replay the idle increments for whole skip windows.
     supports_device_skip = True
-
-    #: Swap in the batch-tuned LD/ST unit (behaviour-identical to the
-    #: base unit; see :class:`~repro.simt.ldst.BatchedLoadStoreUnit`).
-    ldst_class = BatchedLoadStoreUnit
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -601,10 +595,10 @@ class VectorCore(FastCore):
 class VectorEstimatorCore(VectorCore):
     """Vector core with quantized LD/ST timing, registered as ``estimator``.
 
-    Memory completion times are rounded up to the next
-    ``time_quantum``-cycle boundary by the LD/ST unit, so cycle counts
-    are approximate while functional results, verification, and
-    instruction counts stay exact.  Individual completions are only ever
+    Memory completion times are rounded up to the next boundary of the
+    adaptive time quantum (:func:`adaptive_time_quantum`) by the LD/ST
+    unit, so cycle counts are approximate while functional results,
+    verification, and instruction counts stay exact.  Individual completions are only ever
     delayed, but the induced change in warp interleaving is not monotone
     — end-to-end cycle counts usually land high yet can come in slightly
     under the exact cores' — so the tested contract is a two-sided
@@ -616,12 +610,9 @@ class VectorEstimatorCore(VectorCore):
     backend_name = "estimator"
     exact = False
 
-    def __init__(self, *args, time_quantum: Optional[int] = None,
-                 **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if time_quantum is None:
-            time_quantum = adaptive_time_quantum(self.memory_system)
-        self.ldst.time_quantum = time_quantum
+        self.ldst.time_quantum = adaptive_time_quantum(self.memory_system)
 
 
 register_core_backend(CoreBackend(
@@ -636,17 +627,8 @@ register_core_backend(CoreBackend(
     name="estimator",
     factory=VectorEstimatorCore,
     exact=False,
-    description=("vector core with LD/ST completion times rounded up to "
-                 "time_quantum-cycle boundaries (default: adaptive, 1/24 "
-                 "of the fastest memory service latency); approximate "
-                 "cycle counts, keyed separately in the result store"),
-    options=(
-        BackendOption(
-            name="time_quantum",
-            type=int,
-            default=None,
-            description=("LD/ST completion-time granularity in cycles "
-                         "(default: adaptive from config memory latencies)"),
-        ),
-    ),
+    description=("vector core with LD/ST completion times rounded up to a "
+                 "time quantum of 1/24 of the fastest memory service "
+                 "latency; approximate cycle counts, keyed separately in "
+                 "the result store"),
 ))

@@ -91,13 +91,6 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     byte-identical (``estimator``, or any name this process does not
     know) keep their name, so their results are keyed separately and are
     never served for an exact-core request.
-
-    ``core_options`` take part in the hash verbatim: options tune a
-    backend's behavior (e.g. the estimator's ``time_quantum``), so two
-    option sets are two result spaces.  Backend-name canonicalization
-    therefore applies only when ``core_options`` is empty — an exact
-    backend carrying options (none exist today; registration would
-    reject the options) is conservatively keyed under its own name.
     """
     from repro.simt.backend import core_backend_is_exact
 
@@ -105,7 +98,6 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     for config in configs:
         backend = getattr(config, "core_backend", None)
         if (backend is not None and backend != "fast"
-                and not getattr(config, "core_options", None)
                 and core_backend_is_exact(backend)):
             config = config.replace(core_backend="fast")
         digest.update(repr(config).encode("utf-8"))

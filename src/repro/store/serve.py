@@ -17,7 +17,9 @@ API
     ``{"error": ...}``; simulator failures are 500s.  A negative or
     non-integer ``Content-Length`` is a 400 and one above
     :data:`MAX_BODY_BYTES` a 413; both are answered without reading the
-    body, and the connection is closed.
+    body, and the connection is closed.  A body that stops arriving for
+    :data:`REQUEST_TIMEOUT_S` seconds is a 408, and the connection is
+    closed too.
 ``GET /stats``
     Serve counters, session run counters, and the store's usage summary.
 ``GET /healthz``
@@ -51,6 +53,12 @@ REQUEST_SOURCES = ("cache", "store", "simulated", "in-flight")
 #: Largest ``POST /run`` body the server reads (experiment specs are a
 #: few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stay silent while the server waits to read
+#: from it (a request line, headers or a body).  A client that announces
+#: a longer body than it sends would otherwise hold a handler thread
+#: forever.
+REQUEST_TIMEOUT_S = 30
 
 
 class _InFlight:
@@ -176,6 +184,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # headers — tens of milliseconds per keep-alive request.
     disable_nagle_algorithm = True
 
+    @property
+    def timeout(self) -> float:
+        """Socket timeout applied to the connection at setup."""
+        return REQUEST_TIMEOUT_S
+
     # The default handler logs every request to stderr; keep that for a
     # long-running server but let tests silence it via the server flag.
     def log_message(self, format: str, *args: Any) -> None:
@@ -225,6 +238,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             body = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self._reply(408, {"error": f"request body not received within "
+                                       f"{REQUEST_TIMEOUT_S} s"}, close=True)
+            return
+        try:
             spec = json.loads(body.decode("utf-8")) if body else None
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply(400, {"error": f"invalid request JSON: {exc}"})

@@ -6,8 +6,8 @@ outputs — in the format specified normatively by ``docs/kernel-bundles.md``:
 
 ``bundle.toml``
     Metadata: format version, kernel name, launch geometry, parameter
-    schema, verification tolerance (a strict TOML subset, parsed here so
-    the loader works on every supported python version).
+    schema, verification tolerance (TOML, read with :mod:`tomllib`, in
+    flat sections of scalar values).
 ``program.csv``
     The instruction matrix, one row per static instruction, mapping
     one-to-one onto :class:`repro.isa.instruction.Instruction`.
@@ -43,6 +43,7 @@ import hashlib
 import io
 import os
 import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -163,96 +164,42 @@ def _parse_int(token: str, where: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# TOML subset parser / writer
+# bundle.toml reader / writer
 # ----------------------------------------------------------------------
-# Python 3.10 (still in the CI matrix) has no ``tomllib``, and the
-# bundle metadata needs only flat sections of scalar values — so the
-# loader carries its own strict parser, which also gives every
-# diagnostic a real line number.  Supported: comments, ``[section]``
-# headers, ``key = value`` with string ("..." with \\ \" \n \t
-# escapes), integer, float, and boolean values.
 def parse_toml(text: str, filename: str) -> Dict[str, Dict[str, object]]:
-    """Parse the TOML subset used by ``bundle.toml``.
+    """Parse ``bundle.toml`` into ``{section: {key: value}}``.
 
-    Returns ``{section: {key: value}}`` with top-level keys under the
-    ``""`` section.  Raises :class:`BundleError` naming ``filename`` and
-    the line for anything outside the subset.
+    Top-level keys land under the ``""`` section and every root table
+    becomes one section.  Syntax errors keep ``tomllib``'s line and
+    column; a value that is not a string, integer, float or boolean
+    (an array, a nested or inline table, a date or time) raises
+    :class:`BundleError` naming ``filename`` and the key.
     """
+    try:
+        document = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise BundleError(f"{filename}: {exc}") from None
     data: Dict[str, Dict[str, object]] = {"": {}}
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{filename}:{lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise BundleError(f"{where}: unterminated section header")
-            name = line[1:-1].strip()
-            if not _IDENT_RE.match(name):
-                raise BundleError(f"{where}: bad section name {name!r}")
-            if name in data:
-                raise BundleError(f"{where}: duplicate section [{name}]")
-            section = name
-            data[name] = {}
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or not _IDENT_RE.match(key):
-            raise BundleError(f"{where}: expected `key = value`")
-        if key in data[section]:
-            raise BundleError(f"{where}: duplicate key {key!r}")
-        data[section][key] = _parse_toml_value(value.strip(), where)
+    for key, value in document.items():
+        if isinstance(value, dict):
+            data[key] = {name: _toml_scalar(item, f"{key}.{name}", filename)
+                         for name, item in value.items()}
+        else:
+            data[""][key] = _toml_scalar(value, key, filename)
     return data
 
 
-def _parse_toml_value(text: str, where: str) -> object:
-    if text.startswith('"'):
-        return _parse_toml_string(text, where)
-    text = text.split("#", 1)[0].strip()
-    if not text:
-        raise BundleError(f"{where}: missing value")
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        raise BundleError(
-            f"{where}: unsupported value {text!r} (expected a quoted "
-            f"string, integer, float, or boolean)"
-        ) from None
-
-
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
-def _parse_toml_string(text: str, where: str) -> str:
-    out: List[str] = []
-    index = 1
-    while index < len(text):
-        char = text[index]
-        if char == "\\":
-            if index + 1 >= len(text) or text[index + 1] not in _STRING_ESCAPES:
-                raise BundleError(f"{where}: bad string escape")
-            out.append(_STRING_ESCAPES[text[index + 1]])
-            index += 2
-            continue
-        if char == '"':
-            rest = text[index + 1:].strip()
-            if rest and not rest.startswith("#"):
-                raise BundleError(f"{where}: trailing garbage after string")
-            return "".join(out)
-        out.append(char)
-        index += 1
-    raise BundleError(f"{where}: unterminated string")
+def _toml_scalar(value: object, key: str, filename: str) -> object:
+    if isinstance(value, (str, int, float)):  # bool is an int
+        return value
+    raise BundleError(
+        f"{filename}: key {key!r} must be a string, integer, float or "
+        f"boolean, got {type(value).__name__}"
+    )
 
 
 def format_toml_string(value: str) -> str:
-    """Quote ``value`` for the TOML subset (escaping ``\\`` ``\"`` etc.)."""
+    """Quote ``value`` as a TOML basic string (escaping ``\\`` ``\"`` etc.)."""
     escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
                .replace("\n", "\\n").replace("\t", "\\t"))
     return f'"{escaped}"'

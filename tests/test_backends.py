@@ -22,6 +22,7 @@ from repro.simt.backend import (
     get_core_backend,
     register_core_backend,
 )
+from repro.simt.ldst import LoadStoreUnit
 from repro.utils.errors import ConfigurationError
 from repro.workloads import create_workload
 from tests.conftest import make_fast_config
@@ -47,6 +48,11 @@ class TestRegistry:
     def test_backends_have_descriptions(self):
         for name in available_core_backends():
             assert get_core_backend(name).description
+
+    @pytest.mark.parametrize("core", available_core_backends())
+    def test_every_core_builds_the_one_ldst_unit(self, core):
+        gpu = GPU(make_fast_config(core_backend=core))
+        assert all(type(sm.ldst) is LoadStoreUnit for sm in gpu.sms)
 
     def test_unknown_backend_raises_naming_available(self):
         with pytest.raises(ConfigurationError, match="vector"):
@@ -176,55 +182,8 @@ class TestEstimatorLabelling:
         assert "estimated_cycles" not in record.payload
 
 
-class TestBackendOptions:
-    """The first-class backend-options surface (ISSUE 10 tentpole)."""
-
-    def test_estimator_declares_time_quantum(self):
-        backend = get_core_backend("estimator")
-        assert [option.name for option in backend.options] == ["time_quantum"]
-        option = backend.options[0]
-        assert option.type is int
-        assert option.default is None  # adaptive
-        assert option.description
-
-    def test_exact_backends_declare_no_options(self):
-        for name in ("reference", "fast", "vector"):
-            assert get_core_backend(name).options == ()
-
-    def test_unknown_option_names_backend_and_key(self):
-        from repro.simt.backend import validate_core_options
-
-        with pytest.raises(ConfigurationError) as err:
-            validate_core_options("estimator", {"quantum": 8})
-        message = str(err.value)
-        assert "estimator" in message
-        assert "quantum" in message
-        assert "time_quantum" in message  # lists the accepted options
-
-    def test_config_rejects_unknown_option_eagerly(self):
-        """The bad key fails at config construction, not first run."""
-        with pytest.raises(ConfigurationError, match="time_quantum"):
-            make_fast_config(core_backend="vector",
-                             core_options={"time_quantum": 8})
-
-    def test_config_coerces_and_sorts_options(self):
-        config = make_fast_config(core_backend="estimator",
-                                  core_options={"time_quantum": "16"})
-        assert config.core_options == {"time_quantum": 16}
-
-    def test_unregistered_backend_defers_option_validation(self):
-        """Unknown backends keep their options; the full unknown-backend
-        diagnostic fires at GPU construction as before."""
-        config = make_fast_config(core_backend="someday",
-                                  core_options={"x": 1})
-        assert config.core_options == {"x": 1}
-        with pytest.raises(ConfigurationError, match="someday"):
-            GPU(config)
-
-    def test_option_reaches_ldst_unit(self):
-        gpu = GPU(make_fast_config(core_backend="estimator",
-                                   core_options={"time_quantum": 16}))
-        assert all(sm.ldst.time_quantum == 16 for sm in gpu.sms)
+class TestEstimatorQuantum:
+    """The estimator's LD/ST time quantum is derived from the config."""
 
     def test_default_quantum_is_adaptive(self):
         from repro.simt.vector import adaptive_time_quantum
@@ -247,33 +206,3 @@ class TestBackendOptions:
         slow_quantum = adaptive_time_quantum(slowed.memory_system)
         assert slow_quantum > fast_quantum
         assert slow_quantum == 8  # the calibrated presets' long-tested value
-
-
-class TestParseCoreSpec:
-    """CLI core specs: ``name`` or ``name:key=value[,key=value...]``."""
-
-    def test_plain_name(self):
-        from repro.simt.backend import parse_core_spec
-
-        assert parse_core_spec("fast") == ("fast", {})
-
-    def test_single_option(self):
-        from repro.simt.backend import parse_core_spec
-
-        assert parse_core_spec("estimator:time_quantum=16") == (
-            "estimator", {"time_quantum": "16"})
-
-    def test_multiple_options(self):
-        from repro.simt.backend import parse_core_spec
-
-        name, options = parse_core_spec("x:a=1,b=2")
-        assert name == "x"
-        assert options == {"a": "1", "b": "2"}
-
-    @pytest.mark.parametrize("spec", [":a=1", "estimator:foo",
-                                      "estimator:=5", "estimator:"])
-    def test_malformed_specs_rejected(self, spec):
-        from repro.simt.backend import parse_core_spec
-
-        with pytest.raises(ConfigurationError):
-            parse_core_spec(spec)

@@ -467,15 +467,14 @@ def build_divergent_load_kernel():
     return builder.build()
 
 
-class TestBatchedLdstEdgeCases:
-    """Byte-identity on the batched LD/ST unit's documented edge paths.
+class TestVectorCoreEdgeCases:
+    """Byte-identity on the ``vector`` core's documented edge paths.
 
-    The ``vector`` core pairs with :class:`BatchedLoadStoreUnit`; each
-    case below drives one of its fallback or stall paths — scoreboard
-    mask overflow, candidate sets at/below the scalar-evaluation
-    threshold, divergent half-warp loads, and MSHR-full stalls — and
-    pins the full result (cycles, instructions, stats) against the
-    scalar cores.
+    Each case below drives one of its fallback or stall paths —
+    scoreboard mask overflow, candidate sets at/below the
+    scalar-evaluation threshold, divergent half-warp loads, and
+    MSHR-full stalls — and pins the full result (cycles, instructions,
+    stats) against the scalar cores.
     """
 
     def _compare_program(self, program, config, grid_dim=2, block_dim=64):

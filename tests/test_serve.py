@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments import Experiment, Session
 from repro.store import MemoryStore, RequestBroker, ReproServer, StoreKey
+from repro.store import serve as serve_module
 from repro.store.serve import MAX_BODY_BYTES
 from repro.utils.errors import ReproError
 
@@ -224,6 +225,23 @@ class TestHTTP:
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
+
+    def test_stalled_body_times_out_with_408(self, server, monkeypatch):
+        """A body shorter than its Content-Length frees the handler after
+        the request timeout instead of blocking it forever."""
+        monkeypatch.setattr(serve_module, "REQUEST_TIMEOUT_S", 0.5)
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(f"POST /run HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: 100\r\n\r\n".encode()
+                         + b"{" * 10)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
         assert b"connection: close" in head.lower()
         assert "error" in json.loads(body)
 

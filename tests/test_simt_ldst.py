@@ -9,12 +9,12 @@ from repro.core.stages import Event
 from repro.core.tracker import LatencyTracker
 from repro.isa import KernelBuilder
 from repro.memory.subsystem import MemorySystem
-from repro.simt.ldst import BatchedLoadStoreUnit, LoadStoreUnit
+from repro.simt.ldst import LoadStoreUnit
 from tests.conftest import make_fast_config
 
 
-def build_harness(l1_enabled=True, cache_global=True, unit_class=LoadStoreUnit,
-                  core=None, l1=None, interconnect=None):
+def build_harness(l1_enabled=True, cache_global=True, core=None, l1=None,
+                  interconnect=None):
     """A LoadStoreUnit wired to a real (small) memory system.
 
     ``core``, ``l1`` and ``interconnect`` are field overrides applied to
@@ -36,7 +36,7 @@ def build_harness(l1_enabled=True, cache_global=True, unit_class=LoadStoreUnit,
         partition_config=config.partition,
         tracker=tracker,
     )
-    unit = unit_class(0, config.core, memory_system, tracker)
+    unit = LoadStoreUnit(0, config.core, memory_system, tracker)
     return unit, memory_system, tracker, config
 
 
@@ -270,28 +270,25 @@ def tick_unit(unit, cycles):
 ONE_CREDIT = {"output_queue_size": 1, "credit_limit": 1}
 
 
-@pytest.mark.parametrize("unit_class", [LoadStoreUnit, BatchedLoadStoreUnit])
 class TestStallCounters:
     """Each stall counter pinned to a hand-computed count over 10 cycles."""
 
-    def test_l1_stage_full_cycles(self, unit_class):
+    def test_l1_stage_full_cycles(self):
         # sm_base_latency 10: accesses generated at cycles 0-3 fill the
         # 4-deep L1 stage and none is ready before cycle 10, so cycles
         # 4-9 each find the stage full.
-        unit, _, _, _ = build_harness(unit_class=unit_class,
-                                      core={"sm_base_latency": 10})
+        unit, _, _, _ = build_harness(core={"sm_base_latency": 10})
         addresses, mask = lane_addresses(0x1000, count=32, stride=128)
         unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["l1_stage_full_cycles"] == 6
         assert len(unit.l1_access_queue) == unit.L1_STAGE_DEPTH
 
-    def test_mshr_merge_stall_cycles(self, unit_class):
+    def test_mshr_merge_stall_cycles(self):
         # Three loads of one line reach the L1 at cycles 1, 2 and 3: the
         # first allocates the MSHR entry, the second takes its only merge
         # slot, the third stalls at cycles 3-9.
-        unit, _, _, _ = build_harness(unit_class=unit_class,
-                                      core={"sm_base_latency": 1},
+        unit, _, _, _ = build_harness(core={"sm_base_latency": 1},
                                       l1={"mshr_max_merge": 1})
         addresses, mask = lane_addresses(0x3000, count=32, stride=4)
         for warp_id in range(3):
@@ -302,11 +299,10 @@ class TestStallCounters:
         assert unit.stats["mshr_merge_stall_cycles"] == 7
         assert unit.stats["mshr_full_stall_cycles"] == 0
 
-    def test_mshr_full_stall_cycles(self, unit_class):
+    def test_mshr_full_stall_cycles(self):
         # One load of two lines: the first line takes the only MSHR entry
         # at cycle 1, the second finds the table full at cycles 2-9.
-        unit, _, _, _ = build_harness(unit_class=unit_class,
-                                      core={"sm_base_latency": 1},
+        unit, _, _, _ = build_harness(core={"sm_base_latency": 1},
                                       l1={"mshr_entries": 1})
         addresses, mask = lane_addresses(0x1000, count=2, stride=128)
         unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
@@ -315,13 +311,12 @@ class TestStallCounters:
         assert unit.stats["mshr_merge_stall_cycles"] == 0
 
     @pytest.mark.parametrize("access", ["store", "uncached_load"])
-    def test_miss_queue_stall_cycles(self, unit_class, access):
+    def test_miss_queue_stall_cycles(self, access):
         # Three one-line accesses to one partition reach the L1 at cycles
         # 1, 2 and 3.  The first is injected at cycle 1 and uses the
         # partition's only credit; the second then sits in the 1-entry
         # miss queue, so the third stalls at cycles 3-9.
-        unit, _, _, _ = build_harness(unit_class=unit_class,
-                                      l1_enabled=access == "store",
+        unit, _, _, _ = build_harness(l1_enabled=access == "store",
                                       core={"sm_base_latency": 1},
                                       l1={"miss_queue_size": 1},
                                       interconnect=ONE_CREDIT)
@@ -334,12 +329,11 @@ class TestStallCounters:
         assert unit.stats["miss_queue_stall_cycles"] == 7
         assert unit.stats["icnt_stall_cycles"] == 8
 
-    def test_icnt_stall_cycles(self, unit_class):
+    def test_icnt_stall_cycles(self):
         # One store of two lines in one 256-byte partition chunk: the
         # first line is injected at cycle 1 with the partition's only
         # credit, the second is refused at cycles 2-9.
-        unit, memory_system, _, _ = build_harness(unit_class=unit_class,
-                                                  core={"sm_base_latency": 1},
+        unit, memory_system, _, _ = build_harness(core={"sm_base_latency": 1},
                                                   interconnect=ONE_CREDIT)
         addresses, mask = lane_addresses(0x1000, count=2, stride=128)
         unit.issue(FakeWarp(), make_store_instruction(), addresses, mask, 0)

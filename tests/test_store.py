@@ -290,31 +290,6 @@ class TestCoreBackendKeying:
         # each hash differently.
         assert len(fingerprints) == 3
 
-    def test_core_options_keyed_separately(self):
-        """Two option sets are two result spaces — the store must never
-        cross-serve differently-quantized estimator results."""
-        base = make_fast_config(name="x", core_backend="estimator")
-        default = config_fingerprint([base])
-        q16 = config_fingerprint(
-            [base.replace(core_options={"time_quantum": 16})])
-        q8 = config_fingerprint(
-            [base.replace(core_options={"time_quantum": 8})])
-        assert len({default, q16, q8}) == 3
-        # Coercion canonicalizes: "16" and 16 fingerprint identically.
-        assert q16 == config_fingerprint(
-            [base.replace(core_options={"time_quantum": "16"})])
-
-    def test_differently_quantized_sessions_not_cross_served(self):
-        store = MemoryStore()
-        coarse = Session(store=store, core="estimator",
-                         core_options={"time_quantum": 32})
-        coarse.run(CHEAP)
-        fine = Session(store=store, core="estimator",
-                       core_options={"time_quantum": 2})
-        fine.run(CHEAP)
-        assert fine.counters()["store_hits"] == 0
-        assert fine.counters()["simulated"] == 1
-
     def test_vector_served_fast_results(self):
         """Warm store written by the fast core serves a vector session."""
         store = MemoryStore()

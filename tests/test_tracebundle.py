@@ -152,6 +152,31 @@ class TestLoaderDiagnostics:
         with pytest.raises(BundleError, match="bundle.toml"):
             load_bundle_files(files)
 
+    def test_toml_syntax_error_keeps_line_and_column(self):
+        files = corpus_files()
+        files["bundle.toml"] += "\n[verify\n"
+        with pytest.raises(BundleError, match="bundle.toml") as excinfo:
+            load_bundle_files(files)
+        assert "line" in str(excinfo.value)
+        assert "column" in str(excinfo.value)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("[kernel]\n", '[kernel]\ncolour = ["blue"]\n', "kernel.colour"),
+        ("[kernel]\n", '[kernel]\ncolour = {shade = "blue"}\n',
+         "kernel.colour"),
+        ("[kernel]\n", "[kernel]\nbuilt = 2026-10-17\n", "kernel.built"),
+        ("[verify]\n", "[launch.extra]\nx = 1\n\n[verify]\n",
+         "launch.extra"),
+        ("format = 1\n", 'format = 1\ntags = ["x"]\n', "tags"),
+    ])
+    def test_non_scalar_toml_value_names_key(self, old, new, key):
+        files = corpus_files()
+        assert old in files["bundle.toml"]
+        files["bundle.toml"] = files["bundle.toml"].replace(old, new, 1)
+        with pytest.raises(BundleError, match="bundle.toml") as excinfo:
+            load_bundle_files(files)
+        assert repr(key) in str(excinfo.value)
+
     def test_wrong_expected_outputs_fail_verification(self):
         # Structurally valid but numerically wrong expected.csv loads
         # fine and then fails verify() — the runtime half of the check.
