@@ -558,3 +558,155 @@ class TestVectorCoreEdgeCases:
             other = run_workload(config.replace(core_backend=core),
                                  "microbench", params)
             assert_results_identical(other, baseline)
+
+
+#: Every queue of the memory pipeline at (or near) its minimum, so that
+#: back-pressure reaches from the DRAM scheduler all the way back to the
+#: SMs' L1 stage.  Applied in this order: ``GPUConfig.derive`` validates
+#: each step, and ``credit_limit`` may not drop below
+#: ``output_queue_size``.
+TIGHT_QUEUES = {
+    "interconnect.output_queue_size": 1,
+    "interconnect.credit_limit": 2,
+    "partition.rop_queue_size": 1,
+    "partition.l2.input_queue_size": 1,
+    "partition.l2.mshr_entries": 2,
+    "partition.l2.mshr_max_merge": 0,
+    "partition.dram.queue_size": 2,
+    "partition.return_queue_size": 1,
+    "core.l1.mshr_entries": 2,
+    "core.l1.mshr_max_merge": 1,
+    "core.l1.miss_queue_size": 1,
+}
+
+
+def tight_config(variant):
+    """The unit-test configuration with :data:`TIGHT_QUEUES` applied.
+
+    ``variant`` is ``"cached"`` (L1 caches global loads: L1 MSHR merge and
+    full stalls), ``"uncached"`` (every global load misses to the L2:
+    L2 MSHR merge stalls) or ``"no_l2"`` (requests go from the ROP queue
+    straight to the DRAM scheduler).
+    """
+    overrides = dict(TIGHT_QUEUES)
+    if variant == "uncached":
+        overrides["core.l1.cache_global"] = False
+    elif variant == "no_l2":
+        overrides = {path: value for path, value in overrides.items()
+                     if not path.startswith("partition.l2.")}
+        overrides["partition.l2_enabled"] = False
+    return make_fast_config().derive(overrides)
+
+
+#: Stall counters that a cycle in which nothing moves still bumps, by key
+#: suffix.  Every one must fire in the deterministic back-pressure cases.
+STALL_COUNTERS = (
+    "icnt_req.output_blocked_cycles",
+    "icnt_rep.output_blocked_cycles",
+    "l2_queue_stall_cycles",
+    "partition0.dram_queue_stall_cycles",
+    "write_stall_cycles",
+    "mshr_merge_stall_cycles",
+    "mshr_full_stall_cycles",
+    "l2slice0.dram_queue_stall_cycles",
+    "all_banks_busy_cycles",
+    "issue_idle_cycles",
+    "ldst.l1_stage_full_cycles",
+    "ldst.mshr_merge_stall_cycles",
+    "ldst.mshr_full_stall_cycles",
+    "ldst.miss_queue_stall_cycles",
+    "ldst.icnt_stall_cycles",
+    "memsys.inject_stall_cycles",
+)
+
+BFS_SMALL = {"num_nodes": 128, "avg_degree": 5, "block_dim": 64, "seed": 5}
+
+
+class TestBackPressureEquivalence:
+    """Byte-identity while the memory pipeline is backed up.
+
+    Cycles in which every component is stalled still bump stall counters
+    once per cycle the clock visits, so any shortcut through them must
+    reproduce those counters exactly.  These cases squeeze every queue to
+    its minimum, which keeps the machine in such stalls most of the time.
+    """
+
+    @pytest.mark.parametrize("variant", ["cached", "uncached", "no_l2"])
+    @pytest.mark.parametrize("workload_name,params", [
+        ("bfs", BFS_SMALL),
+        ("vecadd", {"n": 512, "block_dim": 64}),
+    ])
+    def test_tight_queues_identical_on_all_exact_cores(
+            self, variant, workload_name, params):
+        compare_cores(tight_config(variant), workload_name, params)
+
+    def test_every_stall_counter_fires(self):
+        fired = set()
+        for variant in ("cached", "uncached", "no_l2"):
+            results = run_workload(tight_config(variant), "bfs", BFS_SMALL)
+            for result in results:
+                for key, value in result.stats.items():
+                    fired.update(suffix for suffix in STALL_COUNTERS
+                                 if value and key.endswith(suffix))
+        assert fired == set(STALL_COUNTERS), sorted(
+            set(STALL_COUNTERS) - fired)
+
+    @settings(max_examples=25, deadline=None)
+    @given(axes=MICROBENCH_AXES,
+           variant=st.sampled_from(["cached", "uncached", "no_l2"]),
+           dram_scale=st.sampled_from([1, 8]))
+    def test_random_spec_identical_on_all_exact_cores(self, axes, variant,
+                                                      dram_scale):
+        config = tight_config(variant)
+        if dram_scale > 1:
+            config = parse_transform(
+                f"scale_dram_latency:{dram_scale}").apply(config)
+        compare_cores(config, "microbench", axes)
+
+    @pytest.mark.parametrize("variant", ["cached", "uncached"])
+    def test_concurrent_launches_attributed_identically(self, variant):
+        """Two launches sharing the SMs: every stall counter is charged to
+        the same launch on every core, and the device totals agree.  A
+        refused injection is charged to the launch owning the request,
+        which differs from the SM's resident launch for tail traffic."""
+        def run(core):
+            gpu = GPU(tight_config(variant).replace(core_backend=core))
+            for stream, name in enumerate(["vecadd", "stencil"]):
+                workload = create_workload(name, n=1024, block_dim=64)
+                spec = workload.prepare(gpu)
+                gpu.submit(workload.program, grid_dim=spec.grid_dim,
+                           block_dim=spec.block_dim, params=spec.params,
+                           stream=stream)
+            results = gpu.run_until_idle(attribute=True)
+            return results, gpu.collect_stats().as_dict()
+
+        baseline, totals = run(EXACT_CORES[0])
+        assert any(value for result in baseline
+                   for key, value in result.stats.items()
+                   if key.endswith("memsys.inject_stall_cycles"))
+        for core in EXACT_CORES[1:]:
+            results, other_totals = run(core)
+            assert_results_identical(results, baseline)
+            assert other_totals == totals
+
+    @pytest.mark.parametrize("max_cycles", [300, 900, 1500])
+    def test_cycle_budget_runs_out_identically(self, max_cycles):
+        """A launch whose budget runs out while the machine is stalled
+        raises the same error at the same clock on every core."""
+        from repro.utils.errors import SimulationError
+
+        config = parse_transform("scale_dram_latency:8").apply(
+            tight_config("cached"))
+        program_params = {"ilp": 1, "mlp": 4, "stride": 128,
+                          "footprint": 8192, "iters": 16}
+        outcomes = []
+        for core in EXACT_CORES:
+            gpu = GPU(config.replace(core_backend=core))
+            workload = create_workload("microbench", **program_params)
+            spec = workload.prepare(gpu)
+            with pytest.raises(SimulationError) as raised:
+                gpu.launch(workload.program, grid_dim=spec.grid_dim,
+                           block_dim=spec.block_dim, params=spec.params,
+                           max_cycles=max_cycles)
+            outcomes.append((str(raised.value), gpu.cycle))
+        assert len(set(outcomes)) == 1, outcomes
