@@ -25,6 +25,7 @@ system internals and idle-SM bookkeeping).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Callable, ClassVar, Deque, Dict, Iterable, List, Optional,
@@ -402,6 +403,8 @@ class GPU:
         loop runs through :meth:`_drive_skip`, which hoists the per-SM
         quiescence gate to device level so fully parked SMs are skipped
         wholesale instead of being polled object-by-object every cycle.
+        Both loops sleep through stalls with
+        :meth:`_sleep_through_stalls`.
         """
         self._attributing = attribute
         try:
@@ -558,7 +561,32 @@ class GPU:
                     )
                 best = int(best)
                 later = now + 1
-                self.cycle = best if best > later else later
+                if best > later:
+                    self.cycle = best
+                    continue
+                # Something polls.  SMs gated past the next cycle stay
+                # gated through any jump that ends by their wake; the
+                # rest must each report a quiet horizon.
+                parked = []
+                awake = []
+                bound = infinity
+                for index in sm_range:
+                    if later < wake[index] and not replies[index]:
+                        parked.append(index)
+                        if wake[index] < bound:
+                            bound = wake[index]
+                    else:
+                        awake.append(sms[index])
+                target = self._sleep_through_stalls(now, awake, bound)
+                if target > later:
+                    for index in parked:
+                        if not pending[index]:
+                            resident = sms[index]._resident_launch
+                            pending_launch[index] = (
+                                resident.launch_id
+                                if resident is not None else None)
+                        pending[index] += target - later
+                self.cycle = target
         finally:
             for index in sm_range:
                 if pending[index]:
@@ -687,7 +715,58 @@ class GPU:
             raise SimulationError(
                 "simulation deadlock: nothing issued and no pending events"
             )
-        self.cycle = max(min(candidates), self.cycle + 1)
+        best = min(candidates)
+        if best > self.cycle + 1:
+            self.cycle = best
+        else:
+            self.cycle = self._sleep_through_stalls(self.cycle, self.sms)
+
+    def _sleep_through_stalls(self, now: int,
+                              sms: List[StreamingMultiprocessor],
+                              bound: float = math.inf) -> int:
+        """The cycle to move the clock to after a no-issue stop at ``now``
+        whose next event is ``now + 1`` (something polls).
+
+        The reference engine visits every cycle while something polls,
+        and a visited cycle is observable: it bumps every scheduler's
+        ``issue_idle_cycles`` and each blocked component's stall counter.
+        When the memory system and every SM in ``sms`` report a quiet
+        horizon (the earliest cycle at which their state can change
+        without outside input), each cycle before the earliest of them —
+        and before ``bound`` and the first cycle that would exceed an
+        active launch's budget — would bump exactly those counters and
+        nothing else.  So the SMs replay their stalls under the same
+        attribution ``sm.cycle`` runs under, the memory system credits
+        the jumped cycles as skipped body runs, and the clock jumps to
+        the horizon.  Returns ``now + 1`` when anything is not quiet.
+        """
+        later = now + 1
+        horizon = min(self.memory_system.quiet_horizon(now), bound)
+        for handle in self._active:
+            budget = handle.start_cycle + handle.limit + 1
+            if budget < horizon:
+                horizon = budget
+        if horizon <= later:
+            return later
+        for sm in sms:
+            sm_horizon = sm.quiet_horizon(now)
+            if sm_horizon is None or sm_horizon <= later:
+                return later
+            if sm_horizon < horizon:
+                horizon = sm_horizon
+        if horizon == math.inf:
+            return later
+        target = int(horizon)
+        cycles = target - later
+        for sm in sms:
+            if self._attributing:
+                resident = sm._resident_launch
+                _ATTRIBUTION[0] = (resident.launch_id
+                                   if resident is not None else None)
+            sm.replay_stalls(cycles)
+        _ATTRIBUTION[0] = None
+        self.memory_system.replay_stalls(cycles)
+        return target
 
     def _stats_delta(self, start_stats: Dict[str, float]) -> Dict[str, float]:
         """Counter changes since ``start_stats`` (a prior stats snapshot).

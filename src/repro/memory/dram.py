@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
@@ -369,3 +370,25 @@ class DramChannel:
         if self._in_service:
             return max(self._in_service[0][0], now + 1)
         return None
+
+    def quiet_horizon(self, now: int, stalls: list) -> float:
+        """Earliest cycle after ``now`` at which :meth:`cycle` can change
+        state: ``now + 1``, the next access completion, or the cached
+        ``_blocked_until`` while every queued request's bank is busy.
+
+        In the blocked case each cycle before it bumps
+        ``all_banks_busy_cycles``, recorded as a ``(stats, slot)`` entry
+        in ``stalls``.  Without a cached block the scheduler has to scan,
+        so the answer is ``now + 1``.
+        """
+        later = now + 1
+        if self._completed_reads:
+            return later
+        horizon = self._in_service[0][0] if self._in_service else math.inf
+        if self._queue:
+            if self._blocked_until <= later:
+                return later
+            if self._blocked_until < horizon:
+                horizon = self._blocked_until
+            stalls.append((self.stats, self._s_all_busy))
+        return horizon

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -82,6 +83,7 @@ class Interconnect:
         self._sequence = itertools.count()
         self._in_flight_count = 0
         self.stats = StatCounters(prefix=name)
+        self._s_blocked = self.stats.slot("output_blocked_cycles")
 
     # ------------------------------------------------------------------
     # Injection (source side)
@@ -141,7 +143,7 @@ class Interconnect:
                 accepted += 1
                 self.stats.add("delivered")
             if heap and heap[0][0] <= now and output.full():
-                self.stats.add("output_blocked_cycles")
+                self.stats.inc(self._s_blocked)
 
     def has_output(self, destination: int) -> bool:
         """Whether a delivered packet is waiting at ``destination``."""
@@ -188,3 +190,31 @@ class Interconnect:
                 arrival = heap[0][0]
                 best = arrival if best is None else min(best, arrival)
         return max(best, now + 1)
+
+    def quiet_horizon(self, now: int, stalls: list) -> float:
+        """Earliest cycle after ``now`` at which :meth:`cycle` can deliver.
+
+        Returns ``now + 1`` when a packet can move next cycle, otherwise
+        the earliest future arrival (``inf`` with nothing in flight).
+        Until then every cycle bumps ``output_blocked_cycles`` once per
+        destination whose arrived head waits on a full output queue; one
+        ``(stats, slot)`` entry per such destination goes to ``stalls``.
+        Only popping an output queue (outside this network) ends the
+        block earlier.
+        """
+        horizon = math.inf
+        if not self._in_flight_count:
+            return horizon
+        later = now + 1
+        for destination, heap in enumerate(self._in_flight):
+            if not heap:
+                continue
+            arrival = heap[0][0]
+            if arrival > later:
+                if arrival < horizon:
+                    horizon = arrival
+            elif not self._outputs[destination].full():
+                return later
+            else:
+                stalls.append((self.stats, self._s_blocked))
+        return horizon

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -179,6 +180,49 @@ class L2Slice:
         if self._pending_hits:
             return max(self._pending_hits[0][0], now + 1)
         return None
+
+    def quiet_horizon(self, now: int, dram: DramChannel,
+                      return_queue: BoundedQueue, stalls: list) -> float:
+        """Earliest cycle after ``now`` at which :meth:`cycle` can change
+        state, given that ``dram`` and ``return_queue`` do not change.
+
+        Returns ``now + 1`` when a hit can complete or the head request
+        can move next cycle, otherwise the next hit completion (``inf``
+        without one).  A head request that cannot move bumps the same
+        stall counter every cycle; its ``(stats, slot)`` entry goes to
+        ``stalls``.
+        """
+        later = now + 1
+        horizon = math.inf
+        if self._pending_hits:
+            ready = self._pending_hits[0][0]
+            if ready > later:
+                horizon = ready
+            elif not return_queue.full():
+                return later
+        request = self.request_queue.peek()
+        if request is None:
+            return horizon
+        if request.is_write:
+            if dram.can_accept():
+                return later
+            stall = "write_stall_cycles"
+        elif self.cache.probe(request.address):
+            return later
+        else:
+            line = self.cache.line_address(request.address)
+            if self.mshr.lookup(line) is not None:
+                if self.mshr.can_merge(line):
+                    return later
+                stall = "mshr_merge_stall_cycles"
+            elif self.mshr.full():
+                stall = "mshr_full_stall_cycles"
+            elif dram.can_accept():
+                return later
+            else:
+                stall = "dram_queue_stall_cycles"
+        stalls.append((self.stats, self.stats.slot(stall)))
+        return horizon
 
     def outstanding_misses(self) -> int:
         """Number of lines currently being fetched from DRAM."""

@@ -211,3 +211,38 @@ class MemoryPartition:
                 return soon
             best = dram_next if best is None else min(best, dram_next)
         return best
+
+    def quiet_horizon(self, now: int, stalls: list) -> float:
+        """Earliest cycle after ``now`` at which :meth:`cycle` can change
+        state, or ``now + 1`` when it can next cycle.
+
+        Covers the overflow and return paths, the L2 slice, the DRAM
+        channel and the ROP queue (see their ``quiet_horizon``); a ROP
+        head held back by a full L2 (or DRAM) queue adds its stall
+        counter to ``stalls``.  Accepting from the request network and
+        injecting into the reply network are the memory system's part.
+        """
+        later = now + 1
+        if self._fill_overflow and not self.return_queue.full():
+            return later
+        horizon = self.dram.quiet_horizon(now, stalls)
+        if self.l2 is not None and horizon > later:
+            horizon = min(horizon, self.l2.quiet_horizon(
+                now, self.dram, self.return_queue, stalls))
+        if horizon <= later:
+            return later
+        if self._rop_queue:
+            ready = self._rop_queue[0][0]
+            if ready > later:
+                horizon = min(horizon, ready)
+            elif self.l2 is not None:
+                if self.l2.can_accept():
+                    return later
+                stalls.append((self.stats,
+                               self.stats.slot("l2_queue_stall_cycles")))
+            else:
+                if self.dram.can_accept():
+                    return later
+                stalls.append((self.stats,
+                               self.stats.slot("dram_queue_stall_cycles")))
+        return horizon

@@ -13,7 +13,7 @@ The :class:`MemorySystem` is the single object SMs talk to:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.stages import Event
 from repro.core.tracker import LatencyTracker
@@ -37,13 +37,22 @@ class MemorySystem:
     processed cycle the earliest future cycle at which any component can
     change state is cached (via the same logic as
     :meth:`next_event_time`), and calls before that wake-up time return
-    immediately.  :meth:`try_inject` lowers the wake-up time, so new
-    traffic from the SMs is never missed.  A skipped cycle is provably a
-    no-op — every component's per-cycle handler neither mutates state
-    nor touches a stat counter before its next event time — so the fast
-    and reference paths produce byte-identical results.  The flag also
-    reaches each partition's DRAM channel, which then scans its scheduler
-    queue every cycle instead of skipping cycles it knows are blocked.
+    immediately.  :meth:`try_inject` and :meth:`pop_response` lower the
+    wake-up time, so input from the SMs is never missed.  A skipped cycle
+    before the next event time is provably a no-op — every component's
+    per-cycle handler neither mutates state nor touches a stat counter —
+    so the fast and reference paths produce byte-identical results.
+
+    The body also sleeps through *stalls*: when something polls (the
+    next event is ``now + 1``) but nothing can move before a later
+    *quiet horizon* (see :meth:`_compute_quiet_horizon`), each body run
+    before the horizon would only bump the same stall counters.  The
+    body then sleeps until the horizon, counts the calls it skips, and
+    credits those counters in bulk at its next body run or stats read
+    (:meth:`_credit_stalls`); the GPU adds the cycles it jumps over
+    (:meth:`replay_stalls`).  The flag also reaches each partition's
+    DRAM channel, which then scans its scheduler queue every cycle
+    instead of skipping cycles it knows are blocked.
     """
 
     def __init__(
@@ -90,6 +99,14 @@ class MemorySystem:
         # a request (its arrival becomes a new, possibly earlier event).
         self._next: float = 0
         self._next_stale = True
+        # Stall sleep: the body polls until ``_poll_until`` (0 when it is
+        # not sleeping through a stall), each skipped call bumping the
+        # ``(stats, slot)`` counters in ``_stalls``; ``_skipped`` counts
+        # the calls not yet credited.
+        self._poll_until: float = 0
+        self._stalls: Sequence[Tuple[StatCounters, int]] = ()
+        self._skipped = 0
+        self._s_inject_stall = self.stats.slot("inject_stall_cycles")
 
     # ------------------------------------------------------------------
     # SM-facing interface
@@ -117,7 +134,7 @@ class MemorySystem:
         try:
             destination = self.partition_of(request.address)
             if not self.request_network.can_inject(destination):
-                self.stats.add("inject_stall_cycles")
+                self.stats.inc(self._s_inject_stall)
                 return False
             request.partition = destination
             self.tracker.record_event(request, Event.ICNT_INJECT, now)
@@ -149,8 +166,21 @@ class MemorySystem:
                     _ATTRIBUTION[0] = blanket
             else:
                 self.stats.add("responses_delivered")
+            # A freed reply credit can unblock a partition's return queue.
+            self._wake = 0
             self._next_stale = True
         return response
+
+    def replay_inject_stalls(self, request: MemoryRequest,
+                             cycles: int) -> None:
+        """Charge ``cycles`` refused :meth:`try_inject` calls for
+        ``request`` at once, attributed exactly as those calls would be."""
+        blanket = _ATTRIBUTION[0]
+        if blanket is not None:
+            _ATTRIBUTION[0] = (request.launch_id
+                               if request.launch_id >= 0 else None)
+        self.stats.inc(self._s_inject_stall, cycles)
+        _ATTRIBUTION[0] = blanket
 
     def has_response(self, sm_id: int) -> bool:
         """Whether a response for ``sm_id`` is waiting to be popped."""
@@ -176,9 +206,15 @@ class MemorySystem:
         docstring for why that is behaviour-identical.
         """
         if now < self._wake and not self.reference_memory:
+            self._skipped += 1
             return
+        if self._skipped:
+            self._credit_stalls()
+        # A network with nothing in flight has nothing to deliver; its
+        # cycle() would return at once, so it is not ticked at all.
         request_network = self.request_network
-        request_network.cycle(now)
+        if request_network._in_flight_count:
+            request_network.cycle(now)
         for partition in self.partitions:
             if request_network.has_output(partition.partition_id):
                 while partition.can_accept():
@@ -201,11 +237,79 @@ class MemorySystem:
                         partition.partition_id, response.sm_id, response, now
                     )
                     injected += 1
-        self.reply_network.cycle(now)
+        if self.reply_network._in_flight_count:
+            self.reply_network.cycle(now)
         if not self.reference_memory:
-            self._wake = self._compute_wake(now)
-            self._next = self._wake
+            wake = self._next = self._compute_wake(now)
             self._next_stale = False
+            self._poll_until = 0
+            self._stalls = ()
+            if wake == now + 1:
+                stalls: List[Tuple[StatCounters, int]] = []
+                horizon = self._compute_quiet_horizon(now, stalls)
+                if horizon > wake:
+                    wake = self._poll_until = horizon
+                    self._stalls = stalls
+            self._wake = wake
+
+    def _credit_stalls(self) -> None:
+        """Bump the sleep's stall counters once per skipped body run.
+
+        Runs only where no attribution context is set (the body and
+        :meth:`collect_stats`), like the per-cycle bumps it replaces.
+        """
+        skipped = self._skipped
+        self._skipped = 0
+        for stats, slot in self._stalls:
+            stats.inc(slot, skipped)
+
+    def _compute_quiet_horizon(
+            self, now: int,
+            stalls: List[Tuple[StatCounters, int]]) -> float:
+        """Earliest cycle after ``now`` at which the body can change state
+        without SM input, or ``now + 1`` when it can next cycle.
+
+        Each component reports its own horizon and appends the
+        ``(stats, slot)`` stall counters one body run before it bumps.
+        The memory system adds the two hand-offs between components:
+        a partition taking a delivered request, and a return queue head
+        entering the reply network.  Replies waiting at the SMs' outputs
+        are the SMs' to pop; :meth:`pop_response` wakes the body.
+        """
+        later = now + 1
+        request_network = self.request_network
+        reply_network = self.reply_network
+        horizon = min(request_network.quiet_horizon(now, stalls),
+                      reply_network.quiet_horizon(now, stalls))
+        if horizon <= later:
+            return later
+        for partition in self.partitions:
+            if (request_network.has_output(partition.partition_id)
+                    and partition.can_accept()):
+                return later
+            return_queue = partition.return_queue
+            if return_queue and reply_network.can_inject(
+                    return_queue.peek().sm_id):
+                return later
+            event_time = partition.quiet_horizon(now, stalls)
+            if event_time <= later:
+                return later
+            if event_time < horizon:
+                horizon = event_time
+        return horizon
+
+    def quiet_horizon(self, now: int) -> float:
+        """Earliest cycle after ``now`` at which the memory system can
+        change state without SM input (``now + 1`` on reference memory,
+        which never sleeps through stalls)."""
+        if self.reference_memory:
+            return now + 1
+        return max(self._wake, now + 1)
+
+    def replay_stalls(self, cycles: int) -> None:
+        """Account ``cycles`` clock cycles the GPU jumps over, all before
+        :meth:`quiet_horizon`, as skipped body runs."""
+        self._skipped += cycles
 
     def _compute_wake(self, now: int) -> float:
         """Earliest future cycle the body must run again (inf when idle).
@@ -251,14 +355,20 @@ class MemorySystem:
         minimum is the value a fresh enumeration would produce.  The
         reference path always re-enumerates.
         """
-        if (not self.reference_memory and not self._next_stale
-                and self._next > now):
+        if self.reference_memory or self._next_stale:
+            wake = self._compute_wake(now)
+        elif now < self._poll_until:
+            # Sleeping through a stall: the poller that made the body's
+            # enumeration ``now + 1`` is still there.
+            return now + 1
+        elif self._next > now:
             wake = self._next
         else:
             wake = self._compute_wake(now)
-            if not self.reference_memory:
-                self._next = wake
-                self._next_stale = False
+        if not self.reference_memory:
+            self._next = wake
+            self._next_stale = False
+            self._poll_until = 0
         return None if wake == _NEVER else int(wake)
 
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
@@ -271,6 +381,8 @@ class MemorySystem:
         totals but in no launch view — they form the "unattributed"
         residual of a scenario report.
         """
+        if self._skipped:
+            self._credit_stalls()
         combined = StatCounters(prefix="memory")
         combined.merge(self.stats.view(launch_id))
         combined.merge(self.request_network.stats.view(launch_id))

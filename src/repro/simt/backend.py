@@ -33,6 +33,11 @@ A backend's :attr:`~CoreBackend.factory` must build an object with the
   slot accounting, and CTA retirement all happen in here);
 * ``busy()`` / ``next_event_time(now)`` — quiescence introspection for
   the GPU's idle fast-forward clock;
+* ``quiet_horizon(now)`` (and, when it returns a horizon,
+  ``replay_stalls(cycles)``) — the stall jump: the earliest cycle the SM
+  can change state without a memory reply, and the bulk replay of the
+  stall counters of the cycles the GPU jumps over.  The base class
+  returns ``None``, which keeps the GPU from jumping;
 * ``collect_stats()`` / ``stats`` — counter collection.
 
 **Parked-warp invariant** (established by PR 3, inherited by every

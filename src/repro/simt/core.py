@@ -606,6 +606,19 @@ class StreamingMultiprocessor:
             candidates.append(ldst_next)
         return min(candidates) if candidates else None
 
+    def quiet_horizon(self, now: int) -> Optional[float]:
+        """Earliest cycle after ``now`` at which this SM's state can change
+        without outside input, or ``None`` when the engine cannot tell.
+
+        An engine that returns a horizon later than ``now + 1`` promises
+        that every cycle before it only bumps stall counters, which its
+        ``replay_stalls(cycles)`` then bumps for a jump of ``cycles``
+        cycles; the GPU jumps the clock only when every SM and the
+        memory system agree (see ``GPU._sleep_through_stalls``).  The
+        reference engine never jumps.
+        """
+        return None
+
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
         """Combined SM statistics including the LD/ST unit and L1 cache.
 
@@ -720,6 +733,39 @@ class FastCore(StreamingMultiprocessor):
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
         return issued
+
+    def _issue_candidates(self) -> tuple:
+        """The per-scheduler candidate and LD/ST-blocked collections."""
+        return self._ready, self._ldst_blocked
+
+    def quiet_horizon(self, now: int) -> Optional[float]:
+        """Earliest cycle after ``now`` at which the SM can change state
+        without a memory reply (see the base class).
+
+        Quiet means: no warp is a candidate, LD/ST-blocked warps stay
+        blocked, no barrier can release, and the LD/ST unit is quiet;
+        the horizon is then the earlier of the next ALU completion and
+        the LD/ST unit's horizon.  Each cycle before it bumps every
+        scheduler's issue-idle counter plus the LD/ST stalls.
+        """
+        later = now + 1
+        candidates, blocked = self._issue_candidates()
+        if any(candidates) or (any(blocked) and self.ldst.can_accept()):
+            return later
+        for cta_id in self._barrier_ctas:
+            cta = self.ctas.get(cta_id)
+            if cta is not None and cta.barrier_reached():
+                return later
+        horizon = self.ldst.quiet_horizon(now)
+        if self._alu_pipe and self._alu_pipe[0][0] < horizon:
+            horizon = self._alu_pipe[0][0]
+        return horizon
+
+    def replay_stalls(self, cycles: int) -> None:
+        """Bump what ``cycles`` quiet cycles would (see
+        :meth:`quiet_horizon`)."""
+        self.stats.inc(self._slot_idle, self._num_schedulers * cycles)
+        self.ldst.replay_stalls(cycles)
 
     def _release_barriers(self) -> None:
         # Only CTAs with at least one warp at a barrier (tracked at BAR

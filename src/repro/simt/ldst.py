@@ -18,12 +18,16 @@ for throughput: counters are pre-interned
 inlines the cache/MSHR/miss-queue probes, and response draining tests
 the raw reply deque the memory system exposes.  The stall counters are
 pinned to hand-computed counts in ``tests/test_simt_ldst.py``.
+:meth:`LoadStoreUnit.quiet_horizon` tells the GPU how long the unit
+stays stalled, and :meth:`LoadStoreUnit.replay_stalls` bumps those
+counters for the cycles the clock jumps over.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -168,6 +172,10 @@ class LoadStoreUnit:
         self._reply_entries = memory_system.response_entries(sm_id)
         self._hit_delay = config.l1.hit_latency + config.writeback_latency
         self._sm_base = config.sm_base_latency
+        # What each cycle before the last quiet_horizon bumps: LD/ST
+        # stall slots, and the miss-queue head try_inject refuses.
+        self._stalls: List[int] = []
+        self._refused: Optional[MemoryRequest] = None
 
     def _stamp(self, time: int) -> int:
         """``time`` rounded up to the LD/ST time quantum (identity when 1)."""
@@ -495,6 +503,81 @@ class LoadStoreUnit:
             if best is None or later < best:
                 best = later
         return best
+
+    def quiet_horizon(self, now: int) -> float:
+        """Earliest cycle after ``now`` at which the unit's state can
+        change without outside input, or ``now + 1`` when it can next
+        cycle.
+
+        Outside input is a reply from the memory system, or a freed
+        request-network credit for the miss-queue head; the memory
+        system's own horizon covers both.  Until the horizon each cycle
+        bumps the same stall counters, recorded for :meth:`replay_stalls`:
+        an L1-stage head blocked on an MSHR merge, a full MSHR table or a
+        full miss queue; a miss-queue head ``try_inject`` refuses; and a
+        full L1 stage holding back the next access.
+        """
+        later = now + 1
+        if self._reply_entries:
+            return later
+        stalls = self._stalls = []
+        self._refused = None
+        horizon = self._writebacks[0][0] if self._writebacks else math.inf
+        if horizon <= later:
+            return later
+        queue = self.l1_access_queue
+        if queue:
+            ready, request = queue[0]
+            if ready > later:
+                horizon = min(horizon, ready)
+            else:
+                slot = self._l1_stall(request)
+                if slot is None:
+                    return later
+                stalls.append(slot)
+        if self._miss_entries:
+            request = self._miss_entries[0]
+            if self.memory_system.can_inject(request.address):
+                return later
+            stalls.append(self._s_icnt_stall)
+            self._refused = request
+        if self.instruction_queue:
+            pending = self.instruction_queue[0]
+            if (pending.is_shared or not pending.remaining_lines
+                    or len(queue) < self.L1_STAGE_DEPTH):
+                return later
+            stalls.append(self._s_stage_full)
+        return horizon
+
+    def _l1_stall(self, request: MemoryRequest) -> Optional[int]:
+        """The stall slot :meth:`_access_l1` bumps for ``request`` at the
+        head of the L1 stage, or ``None`` when the request would move."""
+        l1 = self.l1
+        if (request.is_write or l1 is None
+                or not self._l1_caches_space(request.space)):
+            return self._s_missq_stall if self._miss_queue_full() else None
+        address = request.address
+        line = (address // self.line_size) * self.line_size
+        if line in self._l1_sets[(address // self.line_size)
+                                 % self._l1_num_sets]:
+            return None
+        entry = self._mshr_entries.get(line)
+        if entry is not None:
+            if len(entry.merged) < self._mshr_max_merged:
+                return None
+            return self._s_merge_stall
+        if len(self._mshr_entries) >= self._mshr_capacity:
+            return self._s_mshr_full_stall
+        return self._s_missq_stall if self._miss_queue_full() else None
+
+    def replay_stalls(self, cycles: int) -> None:
+        """Bump the stall counters of the last :meth:`quiet_horizon` once
+        per cycle of a ``cycles``-long jump that ends at or before it."""
+        stats = self.stats
+        for slot in self._stalls:
+            stats.inc(slot, cycles)
+        if self._refused is not None:
+            self.memory_system.replay_inject_stalls(self._refused, cycles)
 
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
         """Combined statistics of the LD/ST unit, L1 cache, and L1 MSHRs.

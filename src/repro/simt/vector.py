@@ -361,11 +361,8 @@ class VectorCore(FastCore):
         if issued:
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
-        if self._barrier_ctas or (
-            (any(self._cand_slots) or any(self._blocked_slots))
-            if self._vector_mode
-            else (any(self._ready) or any(self._ldst_blocked))
-        ):
+        candidates, blocked = self._issue_candidates()
+        if self._barrier_ctas or any(candidates) or any(blocked):
             # Warp state can change next cycle; the enumeration is only
             # needed if the GPU stops without an issue, so defer it.
             self._sm_wake = now + 1
@@ -403,6 +400,11 @@ class VectorCore(FastCore):
         if next_event == _NEVER:
             return None
         return int(next_event)
+
+    def _issue_candidates(self) -> tuple:
+        if self._vector_mode:
+            return self._cand_slots, self._blocked_slots
+        return self._ready, self._ldst_blocked
 
     # ------------------------------------------------------------------
     # Issue stage

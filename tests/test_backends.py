@@ -69,7 +69,12 @@ class TestRegistry:
         assert not core_backend_is_exact("estimator")
 
     def test_third_party_registration_dispatches(self):
-        """A registered backend is constructible through GPUConfig."""
+        """A registered backend is constructible through GPUConfig.
+
+        Built from the reference factory but running the fast memory
+        system, it reports no quiet horizon, so the clock never jumps:
+        results match the ``reference`` core byte for byte.
+        """
         reference = get_core_backend("reference")
         backend = CoreBackend(
             name="test-custom",
@@ -81,10 +86,16 @@ class TestRegistry:
         try:
             assert "test-custom" in available_core_backends()
             assert not core_backend_is_exact("test-custom")
-            gpu = GPU(make_fast_config(core_backend="test-custom"))
-            workload = create_workload("vecadd", n=128, block_dim=64)
-            workload.run(gpu)
-            assert workload.verify(gpu)
+            results = {}
+            for core in ("test-custom", "reference"):
+                gpu = GPU(make_fast_config(core_backend=core))
+                workload = create_workload("bfs", num_nodes=128,
+                                           avg_degree=5, block_dim=64,
+                                           seed=5)
+                results[core] = workload.run(gpu)
+                assert workload.verify(gpu)
+            assert ([(r.cycles, r.stats) for r in results["test-custom"]]
+                    == [(r.cycles, r.stats) for r in results["reference"]])
         finally:
             CORE_BACKENDS.unregister("test-custom")
 

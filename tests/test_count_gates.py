@@ -16,6 +16,8 @@ The two cells:
 
 import concurrent.futures
 
+import pytest
+
 from repro.experiments import Experiment, ParallelExecutor
 from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
@@ -86,6 +88,22 @@ class TestIdleFastForwardGate:
         iterations = count_calls(monkeypatch, gpu.memory_system, "cycle")
         run_verified(gpu, workload)
         assert 2 * iterations[0] <= gpu.cycle, (iterations[0], gpu.cycle)
+
+
+class TestQuietJumpGate:
+    """While every component is blocked, the drive loop jumps the clock to
+    the earliest quiet horizon and replays the stall counters in bulk,
+    instead of visiting each stalled cycle in turn."""
+
+    @pytest.mark.parametrize("core", ["fast", "vector"])
+    @pytest.mark.parametrize("cell,factor", [("atlas", 20), ("bfs", 5)])
+    def test_drive_loop_visits_few_stalled_cycles(self, monkeypatch, cell,
+                                                  factor, core):
+        gpu, workload = build_cell(cell, core)
+        iterations = count_calls(monkeypatch, gpu.memory_system, "cycle")
+        run_verified(gpu, workload)
+        assert factor * iterations[0] <= gpu.cycle, (iterations[0],
+                                                     gpu.cycle)
 
 
 class TestMemoryWakeGate:

@@ -190,6 +190,28 @@ class TestConfigEquivalence:
             assert_results_identical(other, baseline)
 
 
+class TestScaledConfigEquivalence:
+    """Byte-identity at 4x the SMs and memory partitions of ``gf100`` at
+    8x DRAM latency, where the device-level skip and the stall jump take
+    their minimum over many SM and partition horizons."""
+
+    @pytest.mark.parametrize("workload_name,params", [
+        ("bfs", {"num_nodes": 256, "avg_degree": 6, "block_dim": 64,
+                 "seed": 3}),
+        ("microbench", {"ilp": 2, "mlp": 2, "stride": 128,
+                        "footprint": 8192, "ctas": 16, "warps_per_cta": 2,
+                        "iters": 8}),
+    ])
+    def test_4x_gf100_at_8x_dram_latency(self, workload_name, params):
+        base = parse_transform("scale_dram_latency:8").apply(
+            get_config("gf100"))
+        config = base.derive({
+            "num_sms": 4 * base.num_sms,
+            "mapping.num_partitions": 4 * base.mapping.num_partitions,
+        })
+        compare_cores(config, workload_name, params)
+
+
 class TestSessionEquivalence:
     @pytest.mark.parametrize("core",
                              [core for core in ("reference", "vector")])
@@ -467,6 +489,42 @@ def build_divergent_load_kernel():
     return builder.build()
 
 
+def build_barrier_tail_kernel():
+    """Warps wait at a barrier for a warp that leaves without issuing.
+
+    Warp 0 of each CTA issues a burst of stores while the other warps go
+    straight to a barrier.  Warp 0 then skips the barrier, and a final
+    ``EXIT`` inside a branch retires only its lower half-warp, so the
+    upper half runs off the end of the program and retires in a later
+    issue stage that issues nothing.  Only that retirement releases the
+    barrier, on the next cycle, while warp 0's stores may still be
+    backed up in the memory pipeline; the released warps then load and
+    store, so a late release shows in the cycle count.
+    """
+    builder = KernelBuilder("barrier-tail")
+    base = builder.param("base")
+    slot = builder.reg()
+    builder.imad(slot, builder.gtid, WORD_SIZE, base)
+    first = builder.pred()
+    builder.setp(first, "lt", builder.tid, 32)
+    with builder.if_(first):
+        for _ in range(12):
+            builder.st_global(slot, builder.tid)
+    others = builder.pred()
+    builder.setp(others, "ge", builder.tid, 32)
+    with builder.if_(others):
+        builder.bar()
+    value = builder.reg()
+    builder.ld_global(value, slot)
+    builder.iadd(value, value, 1)
+    builder.st_global(slot, value)
+    lower = builder.pred()
+    builder.setp(lower, "lt", builder.laneid, 16)
+    with builder.if_(lower):
+        builder.exit_()
+    return builder.build()
+
+
 class TestVectorCoreEdgeCases:
     """Byte-identity on the ``vector`` core's documented edge paths.
 
@@ -538,6 +596,13 @@ class TestVectorCoreEdgeCases:
             other = run_workload(config.replace(core_backend=core),
                                  "microbench", params)
             assert_results_identical(other, baseline)
+
+    @pytest.mark.parametrize("scale", [1, 8])
+    def test_barrier_released_by_a_silent_retirement(self, scale):
+        config = parse_transform(f"scale_dram_latency:{scale}").apply(
+            tight_config("cached"))
+        self._compare_program(build_barrier_tail_kernel(), config,
+                              grid_dim=2, block_dim=128)
 
     def test_mshr_full_stalls(self):
         """A single MSHR entry forces the full-stall path on misses."""
@@ -689,18 +754,35 @@ class TestBackPressureEquivalence:
             assert_results_identical(results, baseline)
             assert other_totals == totals
 
-    @pytest.mark.parametrize("max_cycles", [300, 900, 1500])
-    def test_cycle_budget_runs_out_identically(self, max_cycles):
+    @pytest.mark.parametrize("max_cycles", [150, 420, 900])
+    def test_cycle_budget_runs_out_identically(self, monkeypatch,
+                                               max_cycles):
         """A launch whose budget runs out while the machine is stalled
-        raises the same error at the same clock on every core."""
+        raises the same error at the same clock, with the same device
+        counters, on every core.
+
+        Each budget ends inside a stretch the jumping cores would skip;
+        they must cut the jump short at the first cycle over budget, and
+        the stall credit the memory system still owes must land before
+        the counters are read.
+        """
         from repro.utils.errors import SimulationError
 
+        targets = []
+        sleep = GPU._sleep_through_stalls
+
+        def recording(gpu, *args):
+            targets.append(sleep(gpu, *args))
+            return targets[-1]
+
+        monkeypatch.setattr(GPU, "_sleep_through_stalls", recording)
         config = parse_transform("scale_dram_latency:8").apply(
             tight_config("cached"))
         program_params = {"ilp": 1, "mlp": 4, "stride": 128,
                           "footprint": 8192, "iters": 16}
         outcomes = []
         for core in EXACT_CORES:
+            targets.clear()
             gpu = GPU(config.replace(core_backend=core))
             workload = create_workload("microbench", **program_params)
             spec = workload.prepare(gpu)
@@ -708,5 +790,8 @@ class TestBackPressureEquivalence:
                 gpu.launch(workload.program, grid_dim=spec.grid_dim,
                            block_dim=spec.block_dim, params=spec.params,
                            max_cycles=max_cycles)
-            outcomes.append((str(raised.value), gpu.cycle))
+            outcomes.append((str(raised.value), gpu.cycle, json.dumps(
+                gpu.collect_stats().as_dict(), sort_keys=True)))
+            if core != "reference":
+                assert max_cycles + 1 in targets, core
         assert len(set(outcomes)) == 1, outcomes
