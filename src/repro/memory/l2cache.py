@@ -122,19 +122,18 @@ class L2Slice:
         request = self.request_queue.peek()
         if request is None:
             return
+        stall = self._head_stall(request, dram)
+        if stall is not None:
+            self.stats.add(stall)
+            return
+        self.request_queue.pop()
         if request.is_write:
-            if not dram.can_accept():
-                self.stats.add("write_stall_cycles")
-                return
-            self.request_queue.pop()
             if self.cache.probe(request.address):
                 self.cache.access(request.address)
             self.stats.add("writes")
             dram.enqueue(request, now)
             return
-        line = self.cache.line_address(request.address)
         if self.cache.probe(request.address):
-            self.request_queue.pop()
             self.cache.access(request.address)
             request.l2_hit = True
             heapq.heappush(
@@ -142,25 +141,35 @@ class L2Slice:
                 (now + self.config.hit_latency, next(self._sequence), request),
             )
             return
-        if self.mshr.lookup(line) is not None:
-            if self.mshr.can_merge(line):
-                self.request_queue.pop()
-                self.cache.stats.add("misses")
-                self.mshr.merge(line, request)
-                self.stats.add("mshr_merges")
-            else:
-                self.stats.add("mshr_merge_stall_cycles")
-            return
-        if self.mshr.full():
-            self.stats.add("mshr_full_stall_cycles")
-            return
-        if not dram.can_accept():
-            self.stats.add("dram_queue_stall_cycles")
-            return
-        self.request_queue.pop()
         self.cache.stats.add("misses")
+        line = self.cache.line_address(request.address)
+        if self.mshr.lookup(line) is not None:
+            self.mshr.merge(line, request)
+            self.stats.add("mshr_merges")
+            return
         self.mshr.allocate(line, request)
         dram.enqueue(request, now)
+
+    def _head_stall(self, request: MemoryRequest,
+                    dram: DramChannel) -> Optional[str]:
+        """The stall counter :meth:`cycle` bumps instead of moving head
+        ``request`` on, or ``None`` when the request moves.
+
+        A write waits for room in the DRAM queue; a read hit always
+        moves; a read miss waits for a mergeable MSHR entry, a free MSHR
+        entry, or room in the DRAM queue, in that order.
+        """
+        if request.is_write:
+            return None if dram.can_accept() else "write_stall_cycles"
+        if self.cache.probe(request.address):
+            return None
+        line = self.cache.line_address(request.address)
+        if self.mshr.lookup(line) is not None:
+            return (None if self.mshr.can_merge(line)
+                    else "mshr_merge_stall_cycles")
+        if self.mshr.full():
+            return "mshr_full_stall_cycles"
+        return None if dram.can_accept() else "dram_queue_stall_cycles"
 
     # ------------------------------------------------------------------
     # Fill path
@@ -203,24 +212,9 @@ class L2Slice:
         request = self.request_queue.peek()
         if request is None:
             return horizon
-        if request.is_write:
-            if dram.can_accept():
-                return later
-            stall = "write_stall_cycles"
-        elif self.cache.probe(request.address):
+        stall = self._head_stall(request, dram)
+        if stall is None:
             return later
-        else:
-            line = self.cache.line_address(request.address)
-            if self.mshr.lookup(line) is not None:
-                if self.mshr.can_merge(line):
-                    return later
-                stall = "mshr_merge_stall_cycles"
-            elif self.mshr.full():
-                stall = "mshr_full_stall_cycles"
-            elif dram.can_accept():
-                return later
-            else:
-                stall = "dram_queue_stall_cycles"
         stalls.append((self.stats, self.stats.slot(stall)))
         return horizon
 

@@ -149,20 +149,24 @@ class MemoryPartition:
 
     def _drain_rop(self, now: int) -> None:
         while self._rop_queue and self._rop_queue[0][0] <= now:
-            ready, request = self._rop_queue[0]
+            stall = self._rop_stall()
+            if stall is not None:
+                self.stats.add(stall)
+                return
+            _, request = self._rop_queue.popleft()
             if self.l2 is not None:
-                if not self.l2.can_accept():
-                    self.stats.add("l2_queue_stall_cycles")
-                    return
-                self._rop_queue.popleft()
                 self.l2.push_request(request, now)
             else:
-                if not self.dram.can_accept():
-                    self.stats.add("dram_queue_stall_cycles")
-                    return
-                self._rop_queue.popleft()
                 self.tracker.record_event(request, Event.L2Q_ARRIVE, now)
                 self.dram.enqueue(request, now)
+
+    def _rop_stall(self) -> Optional[str]:
+        """The stall counter a ready ROP head bumps instead of entering
+        the L2 queue (or, without an L2, the DRAM queue) when that queue
+        is full; ``None`` when it enters."""
+        if self.l2 is not None:
+            return None if self.l2.can_accept() else "l2_queue_stall_cycles"
+        return None if self.dram.can_accept() else "dram_queue_stall_cycles"
 
     # ------------------------------------------------------------------
     # Introspection
@@ -235,14 +239,9 @@ class MemoryPartition:
             ready = self._rop_queue[0][0]
             if ready > later:
                 horizon = min(horizon, ready)
-            elif self.l2 is not None:
-                if self.l2.can_accept():
-                    return later
-                stalls.append((self.stats,
-                               self.stats.slot("l2_queue_stall_cycles")))
             else:
-                if self.dram.can_accept():
+                stall = self._rop_stall()
+                if stall is None:
                     return later
-                stalls.append((self.stats,
-                               self.stats.slot("dram_queue_stall_cycles")))
+                stalls.append((self.stats, self.stats.slot(stall)))
         return horizon

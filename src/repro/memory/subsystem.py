@@ -29,6 +29,12 @@ from repro.utils.stats import _ATTRIBUTION, StatCounters
 _NEVER = float("inf")
 
 
+def _owner(request: MemoryRequest) -> Optional[int]:
+    """The launch a request's counters are attributed to (``None`` for
+    untracked traffic)."""
+    return request.launch_id if request.launch_id >= 0 else None
+
+
 class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
@@ -127,15 +133,14 @@ class MemorySystem:
         launch that owns ``request`` — tail traffic of a drained kernel
         can still be injected while a successor is resident on the SM.
         """
+        destination = self.partition_of(request.address)
+        if not self.request_network.can_inject(destination):
+            self.charge_inject_stalls(request, 1)
+            return False
         blanket = _ATTRIBUTION[0]
         if blanket is not None:
-            _ATTRIBUTION[0] = (request.launch_id
-                               if request.launch_id >= 0 else None)
+            _ATTRIBUTION[0] = _owner(request)
         try:
-            destination = self.partition_of(request.address)
-            if not self.request_network.can_inject(destination):
-                self.stats.inc(self._s_inject_stall)
-                return False
             request.partition = destination
             self.tracker.record_event(request, Event.ICNT_INJECT, now)
             self.request_network.inject(sm_id, destination, request, now)
@@ -148,6 +153,17 @@ class MemorySystem:
         self._next_stale = True
         return True
 
+    def charge_inject_stalls(self, request: MemoryRequest,
+                             cycles: int) -> None:
+        """Count ``cycles`` refused :meth:`try_inject` calls for
+        ``request``, narrowed to its launch like the call itself; the
+        GPU charges the cycles it jumps over here in one call."""
+        blanket = _ATTRIBUTION[0]
+        if blanket is not None:
+            _ATTRIBUTION[0] = _owner(request)
+        self.stats.inc(self._s_inject_stall, cycles)
+        _ATTRIBUTION[0] = blanket
+
     def pop_response(self, sm_id: int) -> Optional[MemoryRequest]:
         """Remove one response destined for ``sm_id``, if any has arrived.
 
@@ -158,8 +174,7 @@ class MemorySystem:
         if response is not None:
             blanket = _ATTRIBUTION[0]
             if blanket is not None:
-                _ATTRIBUTION[0] = (response.launch_id
-                                   if response.launch_id >= 0 else None)
+                _ATTRIBUTION[0] = _owner(response)
                 try:
                     self.stats.add("responses_delivered")
                 finally:
@@ -170,17 +185,6 @@ class MemorySystem:
             self._wake = 0
             self._next_stale = True
         return response
-
-    def replay_inject_stalls(self, request: MemoryRequest,
-                             cycles: int) -> None:
-        """Charge ``cycles`` refused :meth:`try_inject` calls for
-        ``request`` at once, attributed exactly as those calls would be."""
-        blanket = _ATTRIBUTION[0]
-        if blanket is not None:
-            _ATTRIBUTION[0] = (request.launch_id
-                               if request.launch_id >= 0 else None)
-        self.stats.inc(self._s_inject_stall, cycles)
-        _ATTRIBUTION[0] = blanket
 
     def has_response(self, sm_id: int) -> bool:
         """Whether a response for ``sm_id`` is waiting to be popped."""
@@ -210,11 +214,8 @@ class MemorySystem:
             return
         if self._skipped:
             self._credit_stalls()
-        # A network with nothing in flight has nothing to deliver; its
-        # cycle() would return at once, so it is not ticked at all.
         request_network = self.request_network
-        if request_network._in_flight_count:
-            request_network.cycle(now)
+        request_network.cycle(now)
         for partition in self.partitions:
             if request_network.has_output(partition.partition_id):
                 while partition.can_accept():
@@ -237,8 +238,7 @@ class MemorySystem:
                         partition.partition_id, response.sm_id, response, now
                     )
                     injected += 1
-        if self.reply_network._in_flight_count:
-            self.reply_network.cycle(now)
+        self.reply_network.cycle(now)
         if not self.reference_memory:
             wake = self._next = self._compute_wake(now)
             self._next_stale = False

@@ -336,31 +336,26 @@ class LoadStoreUnit:
             return
         if self.tracker.enabled:
             request.timestamps[Event.L1_ACCESS] = now
-        stats = self.stats
+        stall = self._l1_stall(request)
+        if stall is not None:
+            self.stats.inc(stall)
+            return
+        queue.popleft()
         caches = (self._caches_local if request.space is MemSpace.LOCAL
                   else self._caches_global)
         l1 = self.l1
         if request.is_write:
-            if self._miss_queue_full():
-                stats.inc(self._s_missq_stall)
-                return
-            queue.popleft()
             if caches and l1 is not None:
                 l1.invalidate(request.address)
             self.miss_queue.push(request)
             return
         if not caches or l1 is None:
-            if self._miss_queue_full():
-                stats.inc(self._s_missq_stall)
-                return
-            queue.popleft()
             self.miss_queue.push(request)
             return
         address = request.address
         line = (address // self.line_size) * self.line_size
         ways = self._l1_sets[(address // self.line_size) % self._l1_num_sets]
         if line in ways:
-            queue.popleft()
             # Inlined SetAssociativeCache.access hit path: LRU refresh
             # plus the hit counter (identical counters and order).
             ways.remove(line)
@@ -376,24 +371,11 @@ class LoadStoreUnit:
                  request.load_token, True),
             )
             return
-        entry = self._mshr_entries.get(line)
-        if entry is not None:
-            if len(entry.merged) < self._mshr_max_merged:
-                queue.popleft()
-                l1.stats.inc(self._s_l1_misses)
-                self.l1_mshr.merge(line, request)
-                stats.inc(self._s_mshr_merges)
-            else:
-                stats.inc(self._s_merge_stall)
-            return
-        if len(self._mshr_entries) >= self._mshr_capacity:
-            stats.inc(self._s_mshr_full_stall)
-            return
-        if self._miss_queue_full():
-            stats.inc(self._s_missq_stall)
-            return
-        queue.popleft()
         l1.stats.inc(self._s_l1_misses)
+        if line in self._mshr_entries:
+            self.l1_mshr.merge(line, request)
+            self.stats.inc(self._s_mshr_merges)
+            return
         self.l1_mshr.allocate(line, request)
         self.miss_queue.push(request)
 
@@ -550,8 +532,13 @@ class LoadStoreUnit:
         return horizon
 
     def _l1_stall(self, request: MemoryRequest) -> Optional[int]:
-        """The stall slot :meth:`_access_l1` bumps for ``request`` at the
-        head of the L1 stage, or ``None`` when the request would move."""
+        """The stall slot :meth:`_access_l1` bumps instead of moving
+        ``request`` at the head of the L1 stage, or ``None`` when it moves.
+
+        A write or an uncached read waits for room in the miss queue; a
+        hit always moves; a cached miss waits for a mergeable MSHR entry,
+        a free MSHR entry, or room in the miss queue, in that order.
+        """
         l1 = self.l1
         if (request.is_write or l1 is None
                 or not self._l1_caches_space(request.space)):
@@ -577,7 +564,7 @@ class LoadStoreUnit:
         for slot in self._stalls:
             stats.inc(slot, cycles)
         if self._refused is not None:
-            self.memory_system.replay_inject_stalls(self._refused, cycles)
+            self.memory_system.charge_inject_stalls(self._refused, cycles)
 
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
         """Combined statistics of the LD/ST unit, L1 cache, and L1 MSHRs.
