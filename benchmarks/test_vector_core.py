@@ -1,8 +1,9 @@
 """Benchmark V1 — the vector core on the acceptance atlas sweep.
 
-The ``vector`` backend batches each scheduler's warp bookkeeping into
-NumPy arrays (PCs, scoreboard bitmasks, ready masks) and skips quiescent
-SM cycles wholesale, while staying byte-identical to the ``fast`` core.
+The ``vector`` backend is the ``fast`` core's candidate sets behind a
+cached SM quiescence gate, run by the GPU's device-level skip loop: it
+skips quiescent SM cycles wholesale while staying byte-identical to the
+``fast`` core.
 The first benchmark pins that contract on the canonical ILP x
 DRAM-latency atlas (the acceptance sweep).  The second asserts
 the ``estimator`` variant's accuracy contract per atlas cell: cycle

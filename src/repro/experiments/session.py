@@ -127,10 +127,11 @@ class Session:
         to :class:`GPUConfig` consulted before the global registry.  Use
         :meth:`add_config` to add ad-hoc variants (ablation studies).
     core:
-        Optional simulation-core backend name (``"reference"``,
-        ``"fast"``, ``"vector"``, ``"estimator"``, or anything
+        Optional simulation-core backend name: ``"reference"``,
+        ``"fast"``, ``"vector"`` (the fast core behind a cached SM
+        quiescence gate), ``"estimator"``, or anything
         registered through
-        :func:`~repro.simt.backend.register_core_backend`).  When set,
+        :func:`~repro.simt.backend.register_core_backend`.  When set,
         every configuration this session resolves runs on that backend;
         when ``None`` (the default) each configuration's own
         ``core_backend`` field decides.  This is the programmatic face

@@ -66,7 +66,9 @@ class GPUConfig:
         CLI's ``--core`` override it per run.
         Built-ins: ``"reference"`` (trusted straight-line loop),
         ``"fast"`` (event-skipping ready sets, the default),
-        ``"vector"`` (NumPy batch core, byte-identical), and
+        ``"vector"`` (the fast core behind a cached SM quiescence
+        gate, run by the GPU's device-level skip loop; byte-identical),
+        and
         ``"estimator"`` (vector core with quantized memory timing —
         approximate cycle counts, keyed separately in the result
         store).  Validated against the registry when a

@@ -521,12 +521,7 @@ class GPU:
                         wake[index] = sms[index]._sm_wake
                 if self._all_idle():
                     break
-                for handle in self._active:
-                    if now - handle.start_cycle > handle.limit:
-                        raise SimulationError(
-                            f"kernel {handle.kernel.program.name!r} "
-                            f"exceeded {handle.limit} cycles"
-                        )
+                self._check_limits()
                 hook = type(self)._clock_check_hook
                 if hook is not None:
                     hook(self, issued)

@@ -2,9 +2,10 @@
 
 The SM has grown more than one implementation of its per-cycle engine:
 the trusted straight-line :class:`~repro.simt.core.StreamingMultiprocessor`
-(``reference``), the event-skipping ready-set core from PR 3 (``fast``),
-and the vectorized batch core (``vector`` — plus its approximate
-``estimator`` variant) from :mod:`repro.simt.vector`.  This module gives
+(``reference``), the event-skipping ready-set core (``fast``), and the
+device-skip core (``vector`` — ``fast``'s candidate sets behind a cached
+SM quiescence gate, run by the GPU's device-level skip loop — plus its
+approximate ``estimator`` variant) from :mod:`repro.simt.vector`.  This module gives
 them a front door in the same style as ``register_workload`` /
 ``register_config`` / ``register_store``: a :class:`CoreBackend`
 descriptor registered by name in an open :class:`~repro.utils.registry

@@ -21,8 +21,9 @@ hooks (:meth:`cycle`, :meth:`_issue_stage`, :meth:`_wake_warp`, ...);
 they are registered by name through :mod:`repro.simt.backend` so
 ``GPUConfig.core_backend`` / ``Session(core=...)`` / ``repro --core``
 can select them.  This module registers ``reference``
-(:class:`ReferenceCore`) and ``fast`` (:class:`FastCore`, the PR 3
-event-skipping path); :mod:`repro.simt.vector` adds ``vector`` and
+(:class:`ReferenceCore`) and ``fast`` (:class:`FastCore`, the
+event-skipping path); :mod:`repro.simt.vector` adds ``vector``
+(:class:`FastCore` behind a cached SM quiescence gate) and
 ``estimator``.  See :mod:`repro.simt.backend` for the interface contract
 and the parked-warp invariant every event-driven backend must uphold.
 """
@@ -153,8 +154,10 @@ class StreamingMultiprocessor:
     exact = True
     #: Whether the GPU may hoist this engine's quiescence gate to device
     #: level (see :meth:`repro.gpu.gpu.GPU._drive_skip`).  Requires the
-    #: ``_sm_wake``/``_reply_entries`` gate contract of the vector core;
-    #: the straight-line engines run their body every cycle.
+    #: ``_sm_wake``/``_reply_entries`` gate contract that
+    #: :class:`~repro.simt.vector.VectorCore` adds on top of
+    #: :class:`FastCore`; every other engine runs its body on each
+    #: cycle the GPU visits.
     supports_device_skip = False
 
     def __init__(
@@ -734,10 +737,6 @@ class FastCore(StreamingMultiprocessor):
             self.stats.inc(self._slot_active)
         return issued
 
-    def _issue_candidates(self) -> tuple:
-        """The per-scheduler candidate and LD/ST-blocked collections."""
-        return self._ready, self._ldst_blocked
-
     def quiet_horizon(self, now: int) -> Optional[float]:
         """Earliest cycle after ``now`` at which the SM can change state
         without a memory reply (see the base class).
@@ -749,8 +748,8 @@ class FastCore(StreamingMultiprocessor):
         scheduler's issue-idle counter plus the LD/ST stalls.
         """
         later = now + 1
-        candidates, blocked = self._issue_candidates()
-        if any(candidates) or (any(blocked) and self.ldst.can_accept()):
+        if any(self._ready) or (any(self._ldst_blocked)
+                                and self.ldst.can_accept()):
             return later
         for cta_id in self._barrier_ctas:
             cta = self.ctas.get(cta_id)

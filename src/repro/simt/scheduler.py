@@ -47,11 +47,6 @@ class LooseRoundRobinScheduler(WarpScheduler):
         super().__init__(scheduler_id)
         self._last_warp_id: Optional[int] = None
 
-    @property
-    def last_issued_warp_id(self) -> Optional[int]:
-        """Warp id of the last issuer (the vector core replays the policy)."""
-        return self._last_warp_id
-
     def select(self, ready_warps: Sequence[Warp], now: int) -> Optional[Warp]:
         if not ready_warps:
             return None
@@ -74,24 +69,19 @@ class GreedyThenOldestScheduler(WarpScheduler):
 
     def __init__(self, scheduler_id: int) -> None:
         super().__init__(scheduler_id)
-        self._greedy_warp_id: Optional[int] = None
-
-    @property
-    def greedy_warp_id(self) -> Optional[int]:
-        """Warp id the policy is greedy on (the vector core replays it)."""
-        return self._greedy_warp_id
+        self._greedy_id: Optional[int] = None
 
     def select(self, ready_warps: Sequence[Warp], now: int) -> Optional[Warp]:
         if not ready_warps:
             return None
-        if self._greedy_warp_id is not None:
+        if self._greedy_id is not None:
             for warp in ready_warps:
-                if warp.warp_id == self._greedy_warp_id:
+                if warp.warp_id == self._greedy_id:
                     return warp
         return min(ready_warps, key=lambda warp: (warp.launch_order, warp.warp_id))
 
     def notify_issue(self, warp: Warp, now: int) -> None:
-        self._greedy_warp_id = warp.warp_id
+        self._greedy_id = warp.warp_id
 
 
 _SCHEDULERS = {

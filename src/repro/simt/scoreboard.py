@@ -70,24 +70,6 @@ class Scoreboard:
                 raise SimulationError(f"release of non-busy predicate {dst_pred}")
             self._busy_preds.discard(dst_pred.index)
 
-    def reg_mask(self) -> int:
-        """Busy general registers as a bitmask (vectorized hazard checks).
-
-        Only meaningful when every busy index fits the mask width the
-        caller uses (the vector core checks this per program).
-        """
-        mask = 0
-        for index in self._busy_regs:
-            mask |= 1 << index
-        return mask
-
-    def pred_mask(self) -> int:
-        """Busy predicate registers as a bitmask (vectorized hazard checks)."""
-        mask = 0
-        for index in self._busy_preds:
-            mask |= 1 << index
-        return mask
-
     def busy_register(self, reg: Reg) -> bool:
         """Whether a specific general register has a pending write."""
         return reg.index in self._busy_regs

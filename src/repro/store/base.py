@@ -16,7 +16,8 @@ change:
     meant when the result was produced.  Session-local configs can bind
     the same name to different hardware, so the names alone (already in
     the spec) are not identity.  Exact core backends (``reference``,
-    ``fast``, ``vector`` — byte-identical by contract, pinned by the
+    ``fast``, and ``vector``, which is ``fast`` behind a cached SM
+    quiescence gate — byte-identical by contract, pinned by the
     golden equivalence tests) are normalized to one name so any of them
     may serve the others' stored results; approximate backends
     (``estimator``) keep their name and are keyed separately.

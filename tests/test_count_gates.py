@@ -22,6 +22,10 @@ from repro.experiments import Experiment, ParallelExecutor
 from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
 from repro.sensitivity import parse_transform
+from repro.simt.scheduler import (
+    GreedyThenOldestScheduler,
+    LooseRoundRobinScheduler,
+)
 from repro.simt.scoreboard import Scoreboard
 from repro.workloads import create_workload
 
@@ -77,6 +81,25 @@ class TestDeviceSkipGate:
         fast = sm_cycle_calls(monkeypatch, "bfs", "fast")
         vector = sm_cycle_calls(monkeypatch, "bfs", "vector")
         assert 4 * vector <= fast, (vector, fast)
+
+
+class TestOneSchedulingPolicyGate:
+    """Every exact core picks its warps through the scheduler object's
+    ``select``: ``vector`` makes the same picks as ``fast``, not a copy of
+    the policy of its own."""
+
+    def select_calls(self, monkeypatch, core):
+        gpu, workload = build_cell("bfs", core)
+        counters = [count_calls(monkeypatch, cls, "select")
+                    for cls in (LooseRoundRobinScheduler,
+                                GreedyThenOldestScheduler)]
+        run_verified(gpu, workload)
+        return sum(counter[0] for counter in counters)
+
+    def test_vector_selects_as_often_as_fast(self, monkeypatch):
+        fast = self.select_calls(monkeypatch, "fast")
+        vector = self.select_calls(monkeypatch, "vector")
+        assert fast > 0 and vector == fast, (vector, fast)
 
 
 class TestIdleFastForwardGate:
