@@ -63,6 +63,18 @@ class Instruction:
     pc: int = -1
     comment: str = ""
 
+    #: Decode-once form set by :func:`repro.isa.decode.decode` on first
+    #: issue (a plain class attribute, not a dataclass field: it takes
+    #: no part in construction, comparison or ``repr``).
+    decoded = None
+
+    def __getstate__(self) -> dict:
+        # The decoded form is a per-process cache whose evaluators need
+        # not pickle; the next issue rebuilds it.
+        state = dict(self.__dict__)
+        state.pop("decoded", None)
+        return state
+
     @property
     def unit(self) -> Unit:
         """Functional unit class that executes this instruction."""
@@ -78,9 +90,10 @@ class Instruction:
         """Whether this is a store to any memory space."""
         return self.opcode is Opcode.ST
 
-    @property
+    @cached_property
     def is_memory(self) -> bool:
-        """Whether this instruction goes through the load/store unit."""
+        """Whether this instruction goes through the load/store unit
+        (cached)."""
         return self.opcode in (Opcode.LD, Opcode.ST)
 
     @property

@@ -90,7 +90,7 @@ class GlobalMemory:
         if not mask.any():
             return result
         active = addresses[mask].astype(np.int64)
-        if (active < 0).any() or (active + WORD_SIZE > self.size_bytes).any():
+        if active.min() < 0 or active.max() + WORD_SIZE > self.size_bytes:
             raise SimulationError("vector global memory read out of range")
         result[mask] = self._words[active // WORD_SIZE]
         return result
@@ -101,7 +101,7 @@ class GlobalMemory:
         if not mask.any():
             return
         active = addresses[mask].astype(np.int64)
-        if (active < 0).any() or (active + WORD_SIZE > self.size_bytes).any():
+        if active.min() < 0 or active.max() + WORD_SIZE > self.size_bytes:
             raise SimulationError("vector global memory write out of range")
         self._words[active // WORD_SIZE] = values[mask]
 

@@ -5,6 +5,9 @@ effect (register updates, memory address computation, value load/store) is
 applied immediately, while the timing model — scoreboard reservations,
 arithmetic pipeline latencies, and the LD/ST unit with the full memory
 hierarchy behind it — decides when dependent instructions may issue.
+Every backend issues through :meth:`StreamingMultiprocessor._issue`,
+which executes from the instruction's decoded form
+(:mod:`repro.isa.decode`).
 
 The SM also feeds the latency instrumentation: every cycle in which at
 least one instruction issues is reported to the tracker, which is the raw
@@ -33,16 +36,18 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.tracker import LatencyTracker
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import MemSpace, Opcode, Unit
-from repro.isa.operands import Imm, Param, Pred, Reg, Special
+from repro.isa.decode import (
+    CONST, PRED, REG, DecodedInstruction, Kind, decode,
+)
+from repro.isa.opcodes import MemSpace
+from repro.isa.operands import Param, Special
 from repro.isa.program import Program
-from repro.isa import semantics
 from repro.memory.globalmem import GlobalMemory, WORD_SIZE
 from repro.memory.subsystem import MemorySystem
 from repro.simt.backend import CoreBackend, register_core_backend
@@ -206,6 +211,21 @@ class StreamingMultiprocessor:
         self._slot_issued = self.stats.slot("instructions_issued")
         self._slot_idle = self.stats.slot("issue_idle_cycles")
         self._slot_active = self.stats.slot("active_cycles")
+        self._warp_size = config.warp_size
+        self._alu_latency = config.alu_latency
+        self._sfu_latency = config.sfu_latency
+        # Issue dispatch on the decoded kind, indexed by ``Kind``.
+        handlers = {
+            Kind.ALU: self._execute_arithmetic,
+            Kind.SFU: self._execute_arithmetic,
+            Kind.LD: self._execute_memory,
+            Kind.ST: self._execute_memory,
+            Kind.BRA: self._execute_branch,
+            Kind.EXIT: self._execute_exit,
+            Kind.BAR: self._execute_barrier,
+            Kind.NOP: self._execute_nop,
+        }
+        self._execute = tuple(handlers[kind] for kind in Kind)
 
     # ------------------------------------------------------------------
     # CTA management
@@ -399,17 +419,28 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # Operand access
     # ------------------------------------------------------------------
+    def _read_sources(self, warp: Warp,
+                      sources: Tuple[Tuple[int, Any], ...]) -> List[np.ndarray]:
+        """Per-lane values of decoded ``(tag, payload)`` sources."""
+        values = []
+        for tag, payload in sources:
+            if tag is REG:
+                values.append(warp.registers[payload])
+            elif tag is CONST:
+                values.append(payload)
+            elif tag is PRED:
+                values.append(warp.predicates[payload].astype(np.float64))
+            else:
+                values.append(self._read_operand(
+                    warp, self._warp_cta[warp.warp_id], payload))
+        return values
+
     def _read_operand(self, warp: Warp, cta: CTAContext, operand) -> np.ndarray:
-        warp_size = self.config.warp_size
-        if isinstance(operand, Reg):
-            return warp.registers[operand.index]
-        if isinstance(operand, Pred):
-            return warp.predicates[operand.index].astype(np.float64)
-        if isinstance(operand, Imm):
-            return np.full(warp_size, operand.value, dtype=np.float64)
+        """The general reader: operands only the core can resolve."""
         if isinstance(operand, Param):
             value = cta.launch.params[operand.name]
-            return np.full(warp_size, float(value), dtype=np.float64)
+            return np.full(self.config.warp_size, float(value),
+                           dtype=np.float64)
         if isinstance(operand, Special):
             return self._read_special(warp, cta, operand.name)
         raise SimulationError(f"cannot read operand {operand!r}")
@@ -442,45 +473,27 @@ class StreamingMultiprocessor:
     # Issue / functional execution
     # ------------------------------------------------------------------
     def _issue(self, warp: Warp, now: int) -> None:
-        cta = self._warp_cta[warp.warp_id]
         instruction = warp.next_instruction()
         if instruction is None:  # pragma: no cover - candidates are ready
             warp.finish()
             self._note_warp_done(warp)
             return
-        active = warp.active_mask.copy()
-        exec_mask = active
-        if instruction.guard is not None:
-            pred, negated = instruction.guard
-            guard_values = warp.predicates[pred.index]
-            guard_mask = ~guard_values if negated else guard_values
-            exec_mask = active & guard_mask
-        opcode = instruction.opcode
-        if opcode is Opcode.BRA:
-            self._execute_branch(warp, instruction, exec_mask)
-            return
-        if opcode is Opcode.EXIT:
-            self._execute_exit(warp, instruction, exec_mask)
-            return
-        if opcode is Opcode.BAR:
-            warp.at_barrier = True
-            self._on_barrier_wait(warp)
-            warp.stack.advance(instruction.pc + 1)
-            return
-        if opcode is Opcode.NOP:
-            warp.stack.advance(instruction.pc + 1)
-            return
-        if instruction.is_memory:
-            self._execute_memory(warp, cta, instruction, exec_mask, now)
-            warp.stack.advance(instruction.pc + 1)
-            return
-        self._execute_arithmetic(warp, cta, instruction, exec_mask, now)
-        warp.stack.advance(instruction.pc + 1)
+        decoded = instruction.decoded
+        if decoded is None or decoded.width != self._warp_size:
+            decoded = decode(instruction, self._warp_size)
+        exec_mask = warp.active_mask
+        guard = decoded.guard
+        if guard is not None:
+            values = warp.predicates[guard[0]]
+            exec_mask &= ~values if guard[1] else values
+        self._execute[decoded.kind](warp, instruction, decoded, exec_mask,
+                                    now)
 
     def _execute_branch(self, warp: Warp, instruction: Instruction,
-                        exec_mask: np.ndarray) -> None:
+                        decoded: DecodedInstruction, exec_mask: np.ndarray,
+                        now: int) -> None:
         self.stats.add("branches")
-        if instruction.guard is not None and bool(exec_mask.any()) and not bool(
+        if decoded.guard is not None and bool(exec_mask.any()) and not bool(
             (warp.active_mask & ~exec_mask).any()
         ):
             self.stats.add("uniform_branches")
@@ -494,7 +507,8 @@ class StreamingMultiprocessor:
             self.stats.add("divergent_stack_cycles")
 
     def _execute_exit(self, warp: Warp, instruction: Instruction,
-                      exec_mask: np.ndarray) -> None:
+                      decoded: DecodedInstruction, exec_mask: np.ndarray,
+                      now: int) -> None:
         remaining = warp.active_mask & ~exec_mask
         warp.exit_lanes(exec_mask)
         if warp.done:
@@ -503,38 +517,50 @@ class StreamingMultiprocessor:
             warp.stack.advance(instruction.pc + 1)
         self.stats.add("warps_finished" if warp.done else "partial_exits")
 
-    def _execute_arithmetic(self, warp: Warp, cta: CTAContext,
-                            instruction: Instruction, exec_mask: np.ndarray,
-                            now: int) -> None:
-        sources = [self._read_operand(warp, cta, src) for src in instruction.srcs]
-        result = semantics.compute(instruction, sources)
-        dst = instruction.dst
-        if isinstance(dst, Reg):
-            warp.registers[dst.index][exec_mask] = result[exec_mask]
-        elif isinstance(dst, Pred):
-            warp.predicates[dst.index][exec_mask] = result.astype(bool)[exec_mask]
+    def _execute_barrier(self, warp: Warp, instruction: Instruction,
+                         decoded: DecodedInstruction, exec_mask: np.ndarray,
+                         now: int) -> None:
+        warp.at_barrier = True
+        self._on_barrier_wait(warp)
+        warp.stack.advance(instruction.pc + 1)
+
+    def _execute_nop(self, warp: Warp, instruction: Instruction,
+                     decoded: DecodedInstruction, exec_mask: np.ndarray,
+                     now: int) -> None:
+        warp.stack.advance(instruction.pc + 1)
+
+    def _execute_arithmetic(self, warp: Warp, instruction: Instruction,
+                            decoded: DecodedInstruction,
+                            exec_mask: np.ndarray, now: int) -> None:
+        result = decoded.evaluate(instruction,
+                                  self._read_sources(warp, decoded.sources))
+        if decoded.dst_reg is not None:
+            np.copyto(warp.registers[decoded.dst_reg], result,
+                      where=exec_mask)
+        elif decoded.dst_pred is not None:
+            # ``unsafe``: a non-bool result is read as ``astype(bool)``.
+            np.copyto(warp.predicates[decoded.dst_pred], result,
+                      where=exec_mask, casting="unsafe")
         warp.scoreboard.reserve(instruction)
-        latency = (
-            self.config.sfu_latency
-            if instruction.unit is Unit.SFU
-            else self.config.alu_latency
-        )
+        latency = (self._sfu_latency if decoded.kind is Kind.SFU
+                   else self._alu_latency)
         heapq.heappush(
             self._alu_pipe,
             (now + latency, next(self._sequence), warp, instruction),
         )
+        warp.stack.advance(instruction.pc + 1)
 
-    def _execute_memory(self, warp: Warp, cta: CTAContext,
-                        instruction: Instruction, exec_mask: np.ndarray,
+    def _execute_memory(self, warp: Warp, instruction: Instruction,
+                        decoded: DecodedInstruction, exec_mask: np.ndarray,
                         now: int) -> None:
-        launch = cta.launch
-        address_operand = instruction.srcs[0]
-        addresses = (
-            self._read_operand(warp, cta, address_operand).astype(np.int64)
-            + instruction.offset
-        )
+        cta = self._warp_cta[warp.warp_id]
+        sources = self._read_sources(warp, decoded.sources)
+        addresses = sources[0].astype(np.int64)
+        if instruction.offset:
+            addresses += instruction.offset
         space = instruction.space
         if space is MemSpace.LOCAL:
+            launch = cta.launch
             global_tids = (
                 warp.cta_id * launch.block_dim
                 + warp.thread_indices(launch.block_dim)
@@ -544,43 +570,33 @@ class StreamingMultiprocessor:
                 + global_tids * max(launch.program.local_bytes, WORD_SIZE)
                 + addresses
             )
-        if instruction.is_load:
-            self._functional_load(warp, cta, instruction, addresses, exec_mask)
+        # One float copy, read by the functional access and kept by the
+        # LD/ST unit (neither writes to it).
+        float_addresses = addresses.astype(np.float64)
+        if decoded.kind is Kind.LD:
+            if space is MemSpace.SHARED:
+                values = np.zeros(self._warp_size, dtype=np.float64)
+                if exec_mask.any():
+                    indices = (addresses[exec_mask] // WORD_SIZE).astype(
+                        np.int64)
+                    values[exec_mask] = cta.shared[indices]
+            else:
+                values = self.global_memory.read_words(float_addresses,
+                                                       exec_mask)
+            if decoded.dst_reg is not None:
+                np.copyto(warp.registers[decoded.dst_reg], values,
+                          where=exec_mask)
             warp.scoreboard.reserve(instruction)
+        elif space is MemSpace.SHARED:
+            if exec_mask.any():
+                indices = (addresses[exec_mask] // WORD_SIZE).astype(np.int64)
+                cta.shared[indices] = sources[1][exec_mask]
         else:
-            self._functional_store(warp, cta, instruction, addresses, exec_mask)
-        self.ldst.issue(warp, instruction, addresses.astype(np.float64),
-                        exec_mask, now)
+            self.global_memory.write_words(float_addresses, sources[1],
+                                           exec_mask)
+        self.ldst.issue(warp, instruction, float_addresses, exec_mask, now)
         self.stats.add("memory_instructions")
-
-    def _functional_load(self, warp: Warp, cta: CTAContext,
-                         instruction: Instruction, addresses: np.ndarray,
-                         mask: np.ndarray) -> None:
-        if instruction.space is MemSpace.SHARED:
-            values = np.zeros(self.config.warp_size, dtype=np.float64)
-            if mask.any():
-                indices = (addresses[mask] // WORD_SIZE).astype(np.int64)
-                values[mask] = cta.shared[indices]
-        else:
-            values = self.global_memory.read_words(
-                addresses.astype(np.float64), mask
-            )
-        dst = instruction.dst
-        if isinstance(dst, Reg):
-            warp.registers[dst.index][mask] = values[mask]
-
-    def _functional_store(self, warp: Warp, cta: CTAContext,
-                          instruction: Instruction, addresses: np.ndarray,
-                          mask: np.ndarray) -> None:
-        values = self._read_operand(warp, cta, instruction.srcs[1])
-        if instruction.space is MemSpace.SHARED:
-            if mask.any():
-                indices = (addresses[mask] // WORD_SIZE).astype(np.int64)
-                cta.shared[indices] = values[mask]
-        else:
-            self.global_memory.write_words(
-                addresses.astype(np.float64), values, mask
-            )
+        warp.stack.advance(instruction.pc + 1)
 
     # ------------------------------------------------------------------
     # Completion callbacks
@@ -713,23 +729,17 @@ class FastCore(StreamingMultiprocessor):
         Every skipped step is a pure no-op in the reference path when its
         guarding state is empty (no state change and no stat counters),
         so per-cycle results are byte-identical to the reference engine's
-        :meth:`StreamingMultiprocessor.cycle`.
+        :meth:`StreamingMultiprocessor.cycle`.  The LD/ST unit guards its
+        own stages the same way, so it is ticked unconditionally.
         """
         ldst = self.ldst
-        if ldst.has_pending_writebacks():
-            ldst.process_writebacks(now)
+        ldst.process_writebacks(now)
         if self._alu_pipe:
             self._complete_alu(now)
         if self._barrier_ctas:
             self._release_barriers()
         issued = self._issue_stage(now)
-        if (
-            ldst.instruction_queue
-            or ldst.l1_access_queue
-            or ldst.miss_queue
-            or self.memory_system.has_response(self.sm_id)
-        ):
-            ldst.cycle(now)
+        ldst.cycle(now)
         if self._dirty_ctas:
             self._retire_finished_ctas()
         if issued:

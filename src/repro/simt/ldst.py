@@ -214,11 +214,11 @@ class LoadStoreUnit:
             token = LoadToken(warp, instruction, now, instruction.space)
         lines: List[int] = []
         if instruction.space is not MemSpace.SHARED:
-            active = addresses[mask].astype(np.int64)
-            if len(active):
-                unique = np.unique(
-                    (active // self.line_size) * self.line_size)
-                lines = unique.tolist()
+            line_size = self.line_size
+            active = (addresses[mask].astype(np.int64) // line_size).tolist()
+            if active:
+                # Ascending distinct lines, as np.unique gives them.
+                lines = [line * line_size for line in sorted(set(active))]
                 self.stats.inc(self._s_coalesced, len(lines))
         if token is not None:
             if instruction.space is MemSpace.SHARED or lines:
@@ -244,10 +244,6 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Writeback processing (called early in the SM cycle)
     # ------------------------------------------------------------------
-    def has_pending_writebacks(self) -> bool:
-        """Whether any writeback is scheduled (due now or later)."""
-        return bool(self._writebacks)
-
     def process_writebacks(self, now: int) -> None:
         """Complete requests whose writeback time has been reached."""
         while self._writebacks and self._writebacks[0][0] <= now:

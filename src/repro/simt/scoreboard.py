@@ -50,25 +50,27 @@ class Scoreboard:
 
     def reserve(self, instruction: Instruction) -> None:
         """Mark the instruction's destination as having a pending write."""
-        dst_reg = instruction.writes_register()
+        dst_reg = instruction.dst_reg_index
         if dst_reg is not None:
-            self._busy_regs.add(dst_reg.index)
-        dst_pred = instruction.writes_predicate()
+            self._busy_regs.add(dst_reg)
+        dst_pred = instruction.dst_pred_index
         if dst_pred is not None:
-            self._busy_preds.add(dst_pred.index)
+            self._busy_preds.add(dst_pred)
 
     def release(self, instruction: Instruction) -> None:
         """Clear the pending write of the instruction's destination."""
-        dst_reg = instruction.writes_register()
+        dst_reg = instruction.dst_reg_index
         if dst_reg is not None:
-            if dst_reg.index not in self._busy_regs:
-                raise SimulationError(f"release of non-busy register {dst_reg}")
-            self._busy_regs.discard(dst_reg.index)
-        dst_pred = instruction.writes_predicate()
+            if dst_reg not in self._busy_regs:
+                raise SimulationError(
+                    f"release of non-busy register {instruction.dst}")
+            self._busy_regs.discard(dst_reg)
+        dst_pred = instruction.dst_pred_index
         if dst_pred is not None:
-            if dst_pred.index not in self._busy_preds:
-                raise SimulationError(f"release of non-busy predicate {dst_pred}")
-            self._busy_preds.discard(dst_pred.index)
+            if dst_pred not in self._busy_preds:
+                raise SimulationError(
+                    f"release of non-busy predicate {instruction.dst}")
+            self._busy_preds.discard(dst_pred)
 
     def busy_register(self, reg: Reg) -> bool:
         """Whether a specific general register has a pending write."""

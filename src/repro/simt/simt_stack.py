@@ -31,7 +31,8 @@ class SIMTStack:
     """Per-warp divergence/reconvergence stack."""
 
     def __init__(self, initial_mask: np.ndarray, start_pc: int = 0) -> None:
-        self._entries: List[StackEntry] = [
+        #: Paths, bottom first; the last entry controls execution.
+        self.entries: List[StackEntry] = [
             StackEntry(pc=start_pc, reconv=None, mask=initial_mask.copy())
         ]
 
@@ -41,12 +42,12 @@ class SIMTStack:
     @property
     def depth(self) -> int:
         """Number of entries currently on the stack."""
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def top(self) -> StackEntry:
         """The entry controlling execution."""
-        return self._entries[-1]
+        return self.entries[-1]
 
     @property
     def pc(self) -> int:
@@ -67,8 +68,10 @@ class SIMTStack:
     # ------------------------------------------------------------------
     def advance(self, next_pc: int) -> None:
         """Move the current path to ``next_pc`` and reconverge if reached."""
-        self.top.pc = next_pc
-        self._reconverge()
+        entries = self.entries
+        entries[-1].pc = next_pc
+        if len(entries) > 1:  # a lone entry never reconverges or prunes
+            self._reconverge()
 
     def branch(
         self,
@@ -97,34 +100,34 @@ class SIMTStack:
         if reconv is None:
             raise SimulationError("divergent branch requires a reconvergence PC")
         self.top.pc = reconv
-        self._entries.append(StackEntry(pc=target, reconv=reconv,
-                                        mask=taken_mask.copy()))
-        self._entries.append(StackEntry(pc=fallthrough_pc, reconv=reconv,
-                                        mask=not_taken.copy()))
+        self.entries.append(StackEntry(pc=target, reconv=reconv,
+                                       mask=taken_mask.copy()))
+        self.entries.append(StackEntry(pc=fallthrough_pc, reconv=reconv,
+                                       mask=not_taken.copy()))
         self._reconverge()
 
     def kill_lanes(self, mask: np.ndarray) -> None:
         """Permanently deactivate lanes (EXIT) on every path."""
-        for entry in self._entries:
+        for entry in self.entries:
             entry.mask = entry.mask & ~mask
         self._prune()
 
     def _reconverge(self) -> None:
         while (
-            len(self._entries) > 1
+            len(self.entries) > 1
             and self.top.reconv is not None
             and self.top.pc == self.top.reconv
         ):
-            self._entries.pop()
+            self.entries.pop()
         self._prune()
 
     def _prune(self) -> None:
-        while len(self._entries) > 1 and not self.top.mask.any():
-            self._entries.pop()
+        while len(self.entries) > 1 and not self.top.mask.any():
+            self.entries.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [
             f"(pc={e.pc}, reconv={e.reconv}, lanes={int(e.mask.sum())})"
-            for e in self._entries
+            for e in self.entries
         ]
         return "SIMTStack[" + " ".join(parts) + "]"

@@ -40,6 +40,7 @@ class Warp:
         self.predicates = np.zeros((program.num_predicates, warp_size),
                                    dtype=bool)
         self.stack = SIMTStack(valid_mask)
+        self._instructions = program.instructions
         self.scoreboard = Scoreboard()
         self.exited = ~valid_mask.copy()
         self.at_barrier = False
@@ -58,20 +59,26 @@ class Warp:
     @property
     def pc(self) -> int:
         """Current program counter (top of the SIMT stack)."""
-        return self.stack.pc
+        return self.stack.entries[-1].pc
 
     @property
     def active_mask(self) -> np.ndarray:
-        """Lanes that will execute the next instruction."""
-        return self.stack.active_mask & ~self.exited
+        """Lanes that will execute the next instruction (a fresh array).
+
+        No ``& ~exited`` is needed: :meth:`exit_lanes` kills exited lanes
+        on every stack entry, and branches only split the top entry.
+        """
+        return self.stack.entries[-1].mask.copy()
 
     def next_instruction(self):
         """The instruction at the current PC, or ``None`` past program end."""
         if self.done:
             return None
-        if self.pc >= len(self.program):
+        pc = self.stack.entries[-1].pc
+        instructions = self._instructions
+        if pc >= len(instructions):
             return None
-        return self.program[self.pc]
+        return instructions[pc]
 
     def exit_lanes(self, mask: np.ndarray) -> None:
         """Retire the given lanes; the warp finishes when none remain."""

@@ -22,6 +22,7 @@ from repro.experiments import Experiment, ParallelExecutor
 from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
 from repro.sensitivity import parse_transform
+from repro.simt.core import StreamingMultiprocessor
 from repro.simt.scheduler import (
     GreedyThenOldestScheduler,
     LooseRoundRobinScheduler,
@@ -173,6 +174,19 @@ class TestReadySetGate:
     def test_bfs_at_8x_dram_latency_checks_hazards_per_issue(
             self, monkeypatch):
         self.check(monkeypatch, "bfs")
+
+
+class TestDecodeOnceGate:
+    """Each instruction is decoded once: register and immediate sources
+    are read through the cached decoded form, so the general per-operand
+    reader sees only special registers and kernel parameters."""
+
+    def test_atlas_cell_reads_few_operands_generally(self, monkeypatch):
+        gpu, workload = build_cell("atlas", "fast")
+        reads = count_calls(monkeypatch, StreamingMultiprocessor,
+                            "_read_operand")
+        issued = run_verified(gpu, workload)
+        assert issued > 0 and 4 * reads[0] <= issued, (reads[0], issued)
 
 
 class TestWorkerPoolGate:

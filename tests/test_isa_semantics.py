@@ -1,12 +1,16 @@
 """Unit and property tests for the functional instruction semantics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa import CmpOp, Opcode, semantics
+from repro.isa.decode import CONST, decode
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Reg
+from repro.isa.opcodes import OPCODE_UNIT, Unit
+from repro.isa.operands import Imm, Reg
 from repro.utils.errors import SimulationError
 
 # Register values are stored in float64, so integer arithmetic is exact up
@@ -143,3 +147,37 @@ class TestErrors:
     def test_control_opcode_rejected(self):
         with pytest.raises(SimulationError):
             run(Opcode.BRA, [0])
+
+
+class TestEvaluatorTable:
+    def test_exactly_the_alu_and_sfu_opcodes_have_an_evaluator(self):
+        computed = {op for op, unit in OPCODE_UNIT.items()
+                    if unit in (Unit.SP, Unit.SFU)}
+        assert set(semantics.EVALUATORS) == computed
+        assert all(callable(evaluate)
+                   for evaluate in semantics.EVALUATORS.values())
+
+    def test_decoded_imm_constant_is_read_only(self):
+        instruction = Instruction(opcode=Opcode.MOV, dst=Reg(0),
+                                  srcs=(Imm(3.0),))
+        decoded = decode(instruction, 4)
+        assert instruction.decoded is decoded
+        (tag, constant), = decoded.sources
+        assert tag == CONST and list(constant) == [3.0] * 4
+        with pytest.raises(ValueError):
+            constant[0] = 1.0
+
+    def test_mov_of_imm_returns_independent_array(self):
+        instruction = Instruction(opcode=Opcode.MOV, dst=Reg(0),
+                                  srcs=(Imm(3.0),))
+        (_, constant), = decode(instruction, 4).sources
+        result = semantics.compute(instruction, [constant])
+        result[0] = 99.0
+        assert list(constant) == [3.0] * 4
+
+    def test_decoded_instruction_still_pickles(self):
+        instruction = Instruction(opcode=Opcode.FADD, dst=Reg(0),
+                                  srcs=(Reg(1), Imm(2.0)))
+        decode(instruction, 4)
+        copy = pickle.loads(pickle.dumps(instruction))
+        assert copy == instruction and copy.decoded is None

@@ -82,6 +82,21 @@ class TestVectorAccess:
         with pytest.raises(SimulationError):
             memory.read_words(np.array([999999999.0]), np.array([True]))
 
+    @pytest.mark.parametrize("bad", [-4.0, 4093.0])
+    def test_any_active_lane_out_of_range_is_rejected(self, bad):
+        # 4092 is the last whole word of a 4096-byte memory; the bad lane
+        # sits between two in-range ones.
+        memory = GlobalMemory(4096)
+        addresses = np.array([256.0, bad, 4092.0])
+        mask = np.array([True, True, True])
+        with pytest.raises(SimulationError, match="read out of range"):
+            memory.read_words(addresses, mask)
+        with pytest.raises(SimulationError, match="write out of range"):
+            memory.write_words(addresses, np.zeros(3), mask)
+        in_range = np.array([True, False, True])
+        memory.write_words(addresses, np.array([1.0, 2.0, 3.0]), in_range)
+        assert list(memory.read_words(addresses, in_range)) == [1.0, 0.0, 3.0]
+
 
 class TestBulkTransfer:
     def test_store_and_load_array_roundtrip(self):

@@ -90,6 +90,24 @@ class TestCoalescing:
         token = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert token.expected == 32
 
+    def test_duplicate_out_of_order_lines_coalesce_ascending(self):
+        # 128-byte lines.  Lanes cycle through lines 7, 3, 7, 0, 12, 3 of
+        # the 0x4000 region at word offsets 0-3 within each line; lane 31
+        # is masked off and points at line 20.  Distinct active lines,
+        # ascending: 0, 3, 7, 12 -> 0x4000, 0x4180, 0x4380, 0x4600.
+        unit, _, _, _ = build_harness()
+        table = [7, 3, 7, 0, 12, 3]
+        addresses = np.array(
+            [0x4000 + table[lane % 6] * 128 + (lane % 4) * 4
+             for lane in range(31)] + [0x4000 + 20 * 128], dtype=np.float64)
+        mask = np.array([lane < 31 for lane in range(32)])
+        token = unit.issue(FakeWarp(), make_load_instruction(), addresses,
+                           mask, 0)
+        assert unit.instruction_queue[0].remaining_lines == [
+            0x4000, 0x4180, 0x4380, 0x4600]
+        assert unit.stats["coalesced_accesses"] == 4
+        assert token.expected == 4
+
     def test_masked_off_load_completes_quickly(self):
         unit, memory_system, _, _ = build_harness()
         addresses, _ = lane_addresses(0x1000)
