@@ -454,7 +454,10 @@ class GPU:
         resyncs the wake mirror) and flushed in one batched increment
         before the next body run — float counter sums of integer
         amounts are exact, so totals stay byte-identical to the
-        per-cycle loop.
+        per-cycle loop.  The clock moves through :meth:`_advance_clock`
+        as in the generic loop; a stall jump asks only the SMs that are
+        not parked for a quiet horizon, and the parked ones are credited
+        the jumped cycles in ``pending`` too.
         """
         sms = self.sms
         num_sms = len(sms)
@@ -481,7 +484,25 @@ class GPU:
                 sms[index].stats.inc(idle_slots[index],
                                      idle_widths[index] * count)
 
-        infinity = float("inf")
+        parked: List[int] = []
+
+        def park(later: int) -> Tuple[List[StreamingMultiprocessor],
+                                      float]:
+            # SMs gated past the next cycle stay gated through any jump
+            # that ends by their wake; the rest must each report a quiet
+            # horizon.
+            parked.clear()
+            awake = []
+            bound = math.inf
+            for index in sm_range:
+                if later < wake[index] and not replies[index]:
+                    parked.append(index)
+                    if wake[index] < bound:
+                        bound = wake[index]
+                else:
+                    awake.append(sms[index])
+            return awake, bound
+
         self._streams_dirty = False  # _drive just ran activation
         try:
             while True:
@@ -522,66 +543,14 @@ class GPU:
                 if self._all_idle():
                     break
                 self._check_limits()
-                hook = type(self)._clock_check_hook
-                if hook is not None:
-                    hook(self, issued)
-                if issued:
-                    self.cycle = now + 1
-                    continue
-                # Inlined _advance_clock: non-stale SMs read their
-                # cached enumeration directly (identical to calling
-                # next_event_time — the cache holds the exact value).
-                best = memory.next_event_time(now)
-                for index in sm_range:
-                    sm = sms[index]
-                    if sm._sm_next_stale:
-                        value = sm.next_event_time(now)
-                        if value is not None and (best is None
-                                                  or value < best):
-                            best = value
-                    else:
-                        value = sm._sm_next
-                        if value <= now:  # defensive; mirrors the cache
-                            refreshed = sm.next_event_time(now)
-                            if refreshed is not None and (
-                                    best is None or refreshed < best):
-                                best = refreshed
-                        elif value != infinity and (best is None
-                                                    or value < best):
-                            best = value
-                if best is None:
-                    raise SimulationError(
-                        "simulation deadlock: nothing issued and no "
-                        "pending events"
-                    )
-                best = int(best)
-                later = now + 1
-                if best > later:
-                    self.cycle = best
-                    continue
-                # Something polls.  SMs gated past the next cycle stay
-                # gated through any jump that ends by their wake; the
-                # rest must each report a quiet horizon.
-                parked = []
-                awake = []
-                bound = infinity
-                for index in sm_range:
-                    if later < wake[index] and not replies[index]:
-                        parked.append(index)
-                        if wake[index] < bound:
-                            bound = wake[index]
-                    else:
-                        awake.append(sms[index])
-                target = self._sleep_through_stalls(now, awake, bound)
-                if target > later:
-                    for index in parked:
-                        if not pending[index]:
-                            resident = sms[index]._resident_launch
-                            pending_launch[index] = (
-                                resident.launch_id
-                                if resident is not None else None)
-                        pending[index] += target - later
-                self.cycle = target
+                jumped = self._advance_clock(issued, park)
+                for index in parked if jumped else ():
+                    if not pending[index]:
+                        resident = sms[index]._resident_launch
+                        pending_launch[index] = (
+                            resident.launch_id
+                            if resident is not None else None)
+                    pending[index] += jumped
         finally:
             for index in sm_range:
                 if pending[index]:
@@ -687,34 +656,51 @@ class GPU:
 
     #: Test/debug seam: when set (on the class) to a callable taking
     #: ``(gpu, issued)``, it runs at every clock-advance decision of
-    #: both cycle loops — the generic one and ``_drive_skip``, whose
-    #: inlined advance bypasses ``_advance_clock``.
+    #: both cycle loops (both go through ``_advance_clock``).
     _clock_check_hook: ClassVar[Optional[Callable[["GPU", bool], None]]] = None
 
-    def _advance_clock(self, issued: bool) -> None:
+    def _advance_clock(
+            self, issued: bool,
+            park: Optional[Callable[[int], Tuple[
+                List[StreamingMultiprocessor], float]]] = None) -> int:
+        """Move the clock on from a visited cycle: the one clock-advance
+        decision of both cycle loops.
+
+        After an issue the clock moves to the next cycle.  Otherwise it
+        moves to the earliest event the memory system or any SM
+        reports; when that is the next cycle (something polls),
+        :meth:`_sleep_through_stalls` may jump it further.  ``park``,
+        given ``now + 1``, picks the SMs that must report a quiet
+        horizon for that jump and the earliest cycle any other SM wakes;
+        the caller replays the idle cycles of those others.  Returns the
+        number of stalled cycles jumped over (0 without a jump).
+        """
         hook = type(self)._clock_check_hook
         if hook is not None:
             hook(self, issued)
+        now = self.cycle
+        later = now + 1
         if issued:
-            self.cycle += 1
-            return
-        candidates = []
-        memory_next = self.memory_system.next_event_time(self.cycle)
-        if memory_next is not None:
-            candidates.append(memory_next)
+            self.cycle = later
+            return 0
+        best = self.memory_system.next_event_time(now)
         for sm in self.sms:
-            sm_next = sm.next_event_time(self.cycle)
-            if sm_next is not None:
-                candidates.append(sm_next)
-        if not candidates:
+            event_time = sm.next_event_time(now)
+            if event_time is not None and (best is None or event_time < best):
+                best = event_time
+        if best is None:
             raise SimulationError(
                 "simulation deadlock: nothing issued and no pending events"
             )
-        best = min(candidates)
-        if best > self.cycle + 1:
+        if best > later:
             self.cycle = best
+            return 0
+        if park is None:
+            sms, bound = self.sms, math.inf
         else:
-            self.cycle = self._sleep_through_stalls(self.cycle, self.sms)
+            sms, bound = park(later)
+        self.cycle = self._sleep_through_stalls(now, sms, bound)
+        return self.cycle - later
 
     def _sleep_through_stalls(self, now: int,
                               sms: List[StreamingMultiprocessor],

@@ -363,32 +363,28 @@ class DramChannel:
             return None
         return self._completed_reads.popleft()
 
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which this channel needs attention."""
-        if self._completed_reads or self._queue:
-            return now + 1
-        if self._in_service:
-            return max(self._in_service[0][0], now + 1)
-        return None
+    def horizons(self, now: int, stalls: list) -> Tuple[float, float]:
+        """``(visit, quiet)`` after a cycle at ``now``.
 
-    def quiet_horizon(self, now: int, stalls: list) -> float:
-        """Earliest cycle after ``now`` at which :meth:`cycle` can change
+        *quiet* is the earliest cycle at which :meth:`cycle` can change
         state: ``now + 1``, the next access completion, or the cached
         ``_blocked_until`` while every queued request's bank is busy.
-
         In the blocked case each cycle before it bumps
         ``all_banks_busy_cycles``, recorded as a ``(stats, slot)`` entry
         in ``stalls``.  Without a cached block the scheduler has to scan,
-        so the answer is ``now + 1``.
+        so the answer is ``now + 1``.  *visit* is ``now + 1`` while
+        anything is queued (the scheduler polls the queue), and *quiet*
+        otherwise.
         """
         later = now + 1
         if self._completed_reads:
-            return later
-        horizon = self._in_service[0][0] if self._in_service else math.inf
-        if self._queue:
-            if self._blocked_until <= later:
-                return later
-            if self._blocked_until < horizon:
-                horizon = self._blocked_until
-            stalls.append((self.stats, self._s_all_busy))
-        return horizon
+            return later, later
+        quiet = self._in_service[0][0] if self._in_service else math.inf
+        if not self._queue:
+            return quiet, quiet
+        if self._blocked_until <= later:
+            return later, later
+        if self._blocked_until < quiet:
+            quiet = self._blocked_until
+        stalls.append((self.stats, self._s_all_busy))
+        return later, quiet

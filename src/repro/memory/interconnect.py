@@ -80,6 +80,8 @@ class Interconnect:
             BoundedQueue(config.output_queue_size, name=f"{name}.out{d}")
             for d in range(num_destinations)
         ]
+        # The outputs' raw deques, for the per-cycle emptiness polls.
+        self._output_entries = [output.raw() for output in self._outputs]
         self._sequence = itertools.count()
         self._in_flight_count = 0
         self.stats = StatCounters(prefix=name)
@@ -147,7 +149,7 @@ class Interconnect:
 
     def has_output(self, destination: int) -> bool:
         """Whether a delivered packet is waiting at ``destination``."""
-        return bool(self._outputs[destination])
+        return bool(self._output_entries[destination])
 
     def output_raw(self, destination: int):
         """Raw (read-only) output deque at ``destination``.
@@ -156,7 +158,7 @@ class Interconnect:
         truthiness is equivalent to :meth:`has_output` without the method
         and queue-object indirection.
         """
-        return self._outputs[destination].raw()
+        return self._output_entries[destination]
 
     def peek(self, destination: int) -> Optional[object]:
         """Oldest delivered packet waiting at ``destination``, if any."""
@@ -177,44 +179,33 @@ class Interconnect:
             for destination in range(self.num_destinations)
         )
 
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which this network needs to do work."""
-        for output in self._outputs:
-            if output:
-                return now + 1
-        if not self._in_flight_count:
-            return None
-        best: Optional[int] = None
-        for heap in self._in_flight:
-            if heap:
-                arrival = heap[0][0]
-                best = arrival if best is None else min(best, arrival)
-        return max(best, now + 1)
+    def horizons(self, now: int, stalls: list) -> Tuple[float, float]:
+        """``(visit, quiet)`` after a cycle at ``now``.
 
-    def quiet_horizon(self, now: int, stalls: list) -> float:
-        """Earliest cycle after ``now`` at which :meth:`cycle` can deliver.
-
-        Returns ``now + 1`` when a packet can move next cycle, otherwise
+        *quiet* is the earliest cycle at which :meth:`cycle` can
+        deliver: ``now + 1`` when a packet can move next cycle, otherwise
         the earliest future arrival (``inf`` with nothing in flight).
         Until then every cycle bumps ``output_blocked_cycles`` once per
         destination whose arrived head waits on a full output queue; one
         ``(stats, slot)`` entry per such destination goes to ``stalls``.
         Only popping an output queue (outside this network) ends the
-        block earlier.
+        block earlier.  *visit* is ``now + 1`` while a delivered packet
+        waits at an output for its consumer, and *quiet* otherwise.
         """
-        horizon = math.inf
-        if not self._in_flight_count:
-            return horizon
         later = now + 1
-        for destination, heap in enumerate(self._in_flight):
-            if not heap:
-                continue
-            arrival = heap[0][0]
-            if arrival > later:
-                if arrival < horizon:
-                    horizon = arrival
-            elif not self._outputs[destination].full():
-                return later
-            else:
-                stalls.append((self.stats, self._s_blocked))
-        return horizon
+        quiet = math.inf
+        if self._in_flight_count:
+            for destination, heap in enumerate(self._in_flight):
+                if not heap:
+                    continue
+                arrival = heap[0][0]
+                if arrival > later:
+                    if arrival < quiet:
+                        quiet = arrival
+                elif not self._outputs[destination].full():
+                    return later, later
+                else:
+                    stalls.append((self.stats, self._s_blocked))
+        if any(self._output_entries):
+            return later, quiet
+        return quiet, quiet

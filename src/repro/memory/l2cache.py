@@ -14,7 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.stages import Event
 from repro.core.tracker import LatencyTracker
@@ -182,41 +182,38 @@ class L2Slice:
         self.stats.add("fills")
         return [entry.primary] + list(entry.merged)
 
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which the slice needs to do work."""
-        if self.request_queue:
-            return now + 1
-        if self._pending_hits:
-            return max(self._pending_hits[0][0], now + 1)
-        return None
+    def horizons(self, now: int, dram: DramChannel,
+                 return_queue: BoundedQueue,
+                 stalls: list) -> Tuple[float, float]:
+        """``(visit, quiet)`` after a cycle at ``now``, given that
+        ``dram`` and ``return_queue`` do not change.
 
-    def quiet_horizon(self, now: int, dram: DramChannel,
-                      return_queue: BoundedQueue, stalls: list) -> float:
-        """Earliest cycle after ``now`` at which :meth:`cycle` can change
-        state, given that ``dram`` and ``return_queue`` do not change.
-
-        Returns ``now + 1`` when a hit can complete or the head request
-        can move next cycle, otherwise the next hit completion (``inf``
-        without one).  A head request that cannot move bumps the same
-        stall counter every cycle; its ``(stats, slot)`` entry goes to
-        ``stalls``.
+        *quiet* is ``now + 1`` when a hit can complete or the head
+        request can move next cycle, otherwise the next hit completion
+        (``inf`` without one).  A head request that cannot move bumps
+        the same stall counter every cycle; its ``(stats, slot)`` entry
+        goes to ``stalls``.  *visit* is ``now + 1`` while a request is
+        queued or a completed hit waits on a full return queue, and
+        *quiet* otherwise.
         """
         later = now + 1
-        horizon = math.inf
+        visit = quiet = math.inf
         if self._pending_hits:
             ready = self._pending_hits[0][0]
             if ready > later:
-                horizon = ready
+                visit = quiet = ready
             elif not return_queue.full():
-                return later
+                return later, later
+            else:
+                visit = later
         request = self.request_queue.peek()
         if request is None:
-            return horizon
+            return visit, quiet
         stall = self._head_stall(request, dram)
         if stall is None:
-            return later
+            return later, later
         stalls.append((self.stats, self.stats.slot(stall)))
-        return horizon
+        return later, quiet
 
     def outstanding_misses(self) -> int:
         """Number of lines currently being fetched from DRAM."""

@@ -188,60 +188,47 @@ class MemoryPartition:
             + len(self._fill_overflow)
         )
 
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which this partition needs attention.
+    def horizons(self, now: int, stalls: list) -> Tuple[float, float]:
+        """``(visit, quiet)`` after a cycle at ``now``.
 
-        ``now + 1`` is the earliest representable event, so the checks
-        short-circuit as soon as any component reports it.
-        """
-        soon = now + 1
-        if self.return_queue or self._fill_overflow:
-            return soon
-        best: Optional[int] = None
-        if self._rop_queue:
-            ready = self._rop_queue[0][0]
-            if ready <= soon:
-                return soon
-            best = ready
-        if self.l2 is not None:
-            l2_next = self.l2.next_event_time(now)
-            if l2_next is not None:
-                if l2_next <= soon:
-                    return soon
-                best = l2_next if best is None else min(best, l2_next)
-        dram_next = self.dram.next_event_time(now)
-        if dram_next is not None:
-            if dram_next <= soon:
-                return soon
-            best = dram_next if best is None else min(best, dram_next)
-        return best
-
-    def quiet_horizon(self, now: int, stalls: list) -> float:
-        """Earliest cycle after ``now`` at which :meth:`cycle` can change
-        state, or ``now + 1`` when it can next cycle.
-
-        Covers the overflow and return paths, the L2 slice, the DRAM
-        channel and the ROP queue (see their ``quiet_horizon``); a ROP
-        head held back by a full L2 (or DRAM) queue adds its stall
-        counter to ``stalls``.  Accepting from the request network and
-        injecting into the reply network are the memory system's part.
+        *quiet* is the earliest cycle at which :meth:`cycle` can change
+        state, or ``now + 1`` when it can next cycle.  It covers the
+        overflow and return paths, the L2 slice, the DRAM channel and
+        the ROP queue (see their ``horizons``); a ROP head held back by
+        a full L2 (or DRAM) queue adds its stall counter to ``stalls``.
+        Accepting from the request network and injecting into the reply
+        network are the memory system's part.  *visit* is ``now + 1``
+        while anything polls, a response waiting in the return path
+        included, and the earliest timed event otherwise.
         """
         later = now + 1
         if self._fill_overflow and not self.return_queue.full():
-            return later
-        horizon = self.dram.quiet_horizon(now, stalls)
-        if self.l2 is not None and horizon > later:
-            horizon = min(horizon, self.l2.quiet_horizon(
-                now, self.dram, self.return_queue, stalls))
-        if horizon <= later:
-            return later
+            return later, later
+        visit, quiet = self.dram.horizons(now, stalls)
+        if quiet <= later:
+            return later, later
+        if self.l2 is not None:
+            l2_visit, l2_quiet = self.l2.horizons(
+                now, self.dram, self.return_queue, stalls)
+            if l2_quiet <= later:
+                return later, later
+            if l2_visit < visit:
+                visit = l2_visit
+            if l2_quiet < quiet:
+                quiet = l2_quiet
         if self._rop_queue:
             ready = self._rop_queue[0][0]
             if ready > later:
-                horizon = min(horizon, ready)
+                if ready < visit:
+                    visit = ready
+                if ready < quiet:
+                    quiet = ready
             else:
                 stall = self._rop_stall()
                 if stall is None:
-                    return later
+                    return later, later
                 stalls.append((self.stats, self.stats.slot(stall)))
-        return horizon
+                visit = later
+        if self.return_queue or self._fill_overflow:
+            visit = later
+        return visit, quiet

@@ -39,26 +39,30 @@ class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
     Unless constructed with ``reference_memory=True``, :meth:`cycle` skips
-    its body entirely while the system is quiescent: after every
-    processed cycle the earliest future cycle at which any component can
-    change state is cached (via the same logic as
-    :meth:`next_event_time`), and calls before that wake-up time return
-    immediately.  :meth:`try_inject` and :meth:`pop_response` lower the
-    wake-up time, so input from the SMs is never missed.  A skipped cycle
-    before the next event time is provably a no-op — every component's
-    per-cycle handler neither mutates state nor touches a stat counter —
-    so the fast and reference paths produce byte-identical results.
+    its body entirely while the system is quiescent.  After every
+    processed cycle one walk (:meth:`_walk`) asks each component for its
+    ``horizons`` and caches two times: the *visit* (the cycle the
+    reference engine visits next, served by :meth:`next_event_time`)
+    and the *quiet horizon* (the earliest cycle any component can change
+    state without SM input), which gates the body and is served by
+    :meth:`quiet_horizon`.  Calls before the horizon return at once.
+    :meth:`try_inject` and :meth:`pop_response` pull the gate in to the
+    next cycle and mark the visit stale, so input from the SMs is never
+    missed; the next :meth:`next_event_time` walks again for it.  A
+    skipped body run before the horizon is provably a no-op — every
+    component's per-cycle handler neither mutates state nor touches a
+    stat counter, except for the stall counters the walk reported — so
+    the fast and reference paths produce byte-identical results.
 
-    The body also sleeps through *stalls*: when something polls (the
-    next event is ``now + 1``) but nothing can move before a later
-    *quiet horizon* (see :meth:`_compute_quiet_horizon`), each body run
-    before the horizon would only bump the same stall counters.  The
-    body then sleeps until the horizon, counts the calls it skips, and
-    credits those counters in bulk at its next body run or stats read
-    (:meth:`_credit_stalls`); the GPU adds the cycles it jumps over
-    (:meth:`replay_stalls`).  The flag also reaches each partition's
-    DRAM channel, which then scans its scheduler queue every cycle
-    instead of skipping cycles it knows are blocked.
+    Those stalls are how the body sleeps while something polls (the
+    visit is ``now + 1``) but nothing can move before a later horizon:
+    each body run before it would only bump the same stall counters.
+    The body counts the calls it skips and credits those counters in
+    bulk at its next body run or stats read (:meth:`_credit_stalls`);
+    the GPU adds the cycles it jumps over (:meth:`replay_stalls`).  The
+    flag also reaches each partition's DRAM channel, which then scans
+    its scheduler queue every cycle instead of skipping cycles it knows
+    are blocked.
     """
 
     def __init__(
@@ -96,20 +100,13 @@ class MemorySystem:
         )
         self.stats = StatCounters(prefix="memsys")
         self.reference_memory = reference_memory
+        # The last walk's result.  ``_wake`` gates the body: the quiet
+        # horizon, pulled in by SM input.  ``_visit`` is ``None`` once SM
+        # input has made it stale.  The body polls through ``_wake``,
+        # each skipped call bumping the ``(stats, slot)`` counters in
+        # ``_stalls``; ``_skipped`` counts the calls not yet credited.
         self._wake: float = 0
-        # Cached next_event_time enumeration.  Unlike ``_wake`` (the
-        # body-skip guard, deliberately conservative-early after an
-        # injection) this must match a fresh enumeration exactly, so it
-        # is invalidated whenever state changes outside the body: an SM
-        # popping a response (true next event moves later) or injecting
-        # a request (its arrival becomes a new, possibly earlier event).
-        self._next: float = 0
-        self._next_stale = True
-        # Stall sleep: the body polls until ``_poll_until`` (0 when it is
-        # not sleeping through a stall), each skipped call bumping the
-        # ``(stats, slot)`` counters in ``_stalls``; ``_skipped`` counts
-        # the calls not yet credited.
-        self._poll_until: float = 0
+        self._visit: Optional[float] = None
         self._stalls: Sequence[Tuple[StatCounters, int]] = ()
         self._skipped = 0
         self._s_inject_stall = self.stats.slot("inject_stall_cycles")
@@ -150,7 +147,7 @@ class MemorySystem:
                 _ATTRIBUTION[0] = blanket
         if now + 1 < self._wake:
             self._wake = now + 1
-        self._next_stale = True
+        self._visit = None
         return True
 
     def charge_inject_stalls(self, request: MemoryRequest,
@@ -183,7 +180,7 @@ class MemorySystem:
                 self.stats.add("responses_delivered")
             # A freed reply credit can unblock a partition's return queue.
             self._wake = 0
-            self._next_stale = True
+            self._visit = None
         return response
 
     def has_response(self, sm_id: int) -> bool:
@@ -240,17 +237,9 @@ class MemorySystem:
                     injected += 1
         self.reply_network.cycle(now)
         if not self.reference_memory:
-            wake = self._next = self._compute_wake(now)
-            self._next_stale = False
-            self._poll_until = 0
-            self._stalls = ()
-            if wake == now + 1:
-                stalls: List[Tuple[StatCounters, int]] = []
-                horizon = self._compute_quiet_horizon(now, stalls)
-                if horizon > wake:
-                    wake = self._poll_until = horizon
-                    self._stalls = stalls
-            self._wake = wake
+            stalls: List[Tuple[StatCounters, int]] = []
+            self._visit, self._wake = self._walk(now, stalls)
+            self._stalls = stalls
 
     def _credit_stalls(self) -> None:
         """Bump the sleep's stall counters once per skipped body run.
@@ -263,45 +252,60 @@ class MemorySystem:
         for stats, slot in self._stalls:
             stats.inc(slot, skipped)
 
-    def _compute_quiet_horizon(
-            self, now: int,
-            stalls: List[Tuple[StatCounters, int]]) -> float:
-        """Earliest cycle after ``now`` at which the body can change state
-        without SM input, or ``now + 1`` when it can next cycle.
+    def _walk(self, now: int,
+              stalls: List[Tuple[StatCounters, int]]) -> Tuple[float, float]:
+        """``(visit, quiet)`` of the whole memory system after a cycle at
+        ``now``: one walk over both networks and every partition.
 
-        Each component reports its own horizon and appends the
-        ``(stats, slot)`` stall counters one body run before it bumps.
-        The memory system adds the two hand-offs between components:
-        a partition taking a delivered request, and a return queue head
-        entering the reply network.  Replies waiting at the SMs' outputs
-        are the SMs' to pop; :meth:`pop_response` wakes the body.
+        *visit* is the earliest of the components' visits (``inf`` when
+        idle).  *quiet* is the earliest cycle at which the body can
+        change state without SM input, or ``now + 1`` when it can next
+        cycle.  Each component appends the ``(stats, slot)`` stall
+        counters one body run before its horizon bumps.  The memory
+        system adds the two hand-offs between components: a partition
+        taking a delivered request, and a return queue head entering the
+        reply network.  Replies waiting at the SMs' outputs are the SMs'
+        to pop; they make the reply network's visit ``now + 1``, and
+        :meth:`pop_response` wakes the body.
         """
         later = now + 1
         request_network = self.request_network
         reply_network = self.reply_network
-        horizon = min(request_network.quiet_horizon(now, stalls),
-                      reply_network.quiet_horizon(now, stalls))
-        if horizon <= later:
-            return later
+        visit, quiet = request_network.horizons(now, stalls)
+        # Past the quiet check below, the request network polls exactly
+        # when a delivered request waits at one of its outputs.
+        delivered = visit <= later
+        reply_visit, reply_quiet = reply_network.horizons(now, stalls)
+        if reply_quiet < quiet:
+            quiet = reply_quiet
+        if quiet <= later:
+            return later, later
+        if reply_visit < visit:
+            visit = reply_visit
         for partition in self.partitions:
-            if (request_network.has_output(partition.partition_id)
+            if (delivered
+                    and request_network.has_output(partition.partition_id)
                     and partition.can_accept()):
-                return later
+                return later, later
             return_queue = partition.return_queue
             if return_queue and reply_network.can_inject(
                     return_queue.peek().sm_id):
-                return later
-            event_time = partition.quiet_horizon(now, stalls)
-            if event_time <= later:
-                return later
-            if event_time < horizon:
-                horizon = event_time
-        return horizon
+                return later, later
+            partition_visit, partition_quiet = partition.horizons(
+                now, stalls)
+            if partition_quiet <= later:
+                return later, later
+            if partition_visit < visit:
+                visit = partition_visit
+            if partition_quiet < quiet:
+                quiet = partition_quiet
+        return visit, quiet
 
     def quiet_horizon(self, now: int) -> float:
         """Earliest cycle after ``now`` at which the memory system can
         change state without SM input (``now + 1`` on reference memory,
-        which never sleeps through stalls)."""
+        which never sleeps through stalls, and after SM input until the
+        next body run)."""
         if self.reference_memory:
             return now + 1
         return max(self._wake, now + 1)
@@ -310,29 +314,6 @@ class MemorySystem:
         """Account ``cycles`` clock cycles the GPU jumps over, all before
         :meth:`quiet_horizon`, as skipped body runs."""
         self._skipped += cycles
-
-    def _compute_wake(self, now: int) -> float:
-        """Earliest future cycle the body must run again (inf when idle).
-
-        The single enumeration of wake sources — :meth:`next_event_time`
-        delegates here — with an early exit once any component reports
-        ``now + 1`` (nothing can be earlier).
-        """
-        soon = now + 1
-        best: float = _NEVER
-        for network in (self.request_network, self.reply_network):
-            event_time = network.next_event_time(now)
-            if event_time is not None:
-                if event_time <= soon:
-                    return soon
-                best = min(best, event_time)
-        for partition in self.partitions:
-            event_time = partition.next_event_time(now)
-            if event_time is not None:
-                if event_time <= soon:
-                    return soon
-                best = min(best, event_time)
-        return best
 
     # ------------------------------------------------------------------
     # Introspection
@@ -348,28 +329,21 @@ class MemorySystem:
     def next_event_time(self, now: int) -> Optional[int]:
         """Earliest future cycle at which the memory system needs attention.
 
-        In fast mode the enumeration computed at the last body run is
-        reused while it is still in the future and no SM has popped a
-        response or injected a request since (both invalidate):
-        component event times only change inside the body, so the cached
-        minimum is the value a fresh enumeration would produce.  The
-        reference path always re-enumerates.
+        In fast mode this is the visit of the last walk, unless SM input
+        has made it stale since: component state only changes inside
+        the body or through that input, and a visit computed earlier
+        stays exact up to clamping to ``now + 1`` (a component that
+        polls keeps polling, a timed event that has come is due now).
+        The reference path walks every time.
         """
-        if self.reference_memory or self._next_stale:
-            wake = self._compute_wake(now)
-        elif now < self._poll_until:
-            # Sleeping through a stall: the poller that made the body's
-            # enumeration ``now + 1`` is still there.
-            return now + 1
-        elif self._next > now:
-            wake = self._next
-        else:
-            wake = self._compute_wake(now)
-        if not self.reference_memory:
-            self._next = wake
-            self._next_stale = False
-            self._poll_until = 0
-        return None if wake == _NEVER else int(wake)
+        visit = self._visit
+        if visit is None or self.reference_memory:
+            visit = self._walk(now, [])[0]
+            if not self.reference_memory:
+                self._visit = visit
+        if visit == _NEVER:
+            return None
+        return max(int(visit), now + 1)
 
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
         """Aggregate statistics from all components into one collection.

@@ -33,12 +33,19 @@ A backend's :attr:`~CoreBackend.factory` must build an object with the
   warp issued (warp advance, scoreboard release, barrier release, LD/ST
   slot accounting, and CTA retirement all happen in here);
 * ``busy()`` / ``next_event_time(now)`` — quiescence introspection for
-  the GPU's idle fast-forward clock;
+  the GPU's idle fast-forward clock: ``next_event_time`` is the SM's
+  next *visit*, ``now + 1`` while anything polls, otherwise its
+  earliest timed event (``None`` when there is none);
 * ``quiet_horizon(now)`` (and, when it returns a horizon,
   ``replay_stalls(cycles)``) — the stall jump: the earliest cycle the SM
   can change state without a memory reply, and the bulk replay of the
   stall counters of the cycles the GPU jumps over.  The base class
-  returns ``None``, which keeps the GPU from jumping;
+  returns ``None``, which keeps the GPU from jumping.  Both methods
+  read the LD/ST unit's part from one walk of it,
+  :meth:`~repro.simt.ldst.LoadStoreUnit.horizons`, which returns its
+  visit and its quiet horizon together, as each memory component's
+  ``horizons`` does (see ``docs/architecture.md``, "The clock
+  contract");
 * ``collect_stats()`` / ``stats`` — counter collection.
 
 **Parked-warp invariant** (established by PR 3, inherited by every

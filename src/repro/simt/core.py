@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -616,14 +617,14 @@ class StreamingMultiprocessor:
         return bool(self._alu_pipe) or self.ldst.busy()
 
     def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which SM state can change."""
-        candidates = []
+        """Earliest future cycle at which SM state can change: the next
+        ALU completion or the LD/ST unit's visit."""
+        visit = self.ldst.horizons(now)[0]
         if self._alu_pipe:
-            candidates.append(max(self._alu_pipe[0][0], now + 1))
-        ldst_next = self.ldst.next_event_time(now)
-        if ldst_next is not None:
-            candidates.append(ldst_next)
-        return min(candidates) if candidates else None
+            done = max(self._alu_pipe[0][0], now + 1)
+            if done < visit:
+                visit = done
+        return None if visit == math.inf else int(visit)
 
     def quiet_horizon(self, now: int) -> Optional[float]:
         """Earliest cycle after ``now`` at which this SM's state can change
@@ -765,7 +766,7 @@ class FastCore(StreamingMultiprocessor):
             cta = self.ctas.get(cta_id)
             if cta is not None and cta.barrier_reached():
                 return later
-        horizon = self.ldst.quiet_horizon(now)
+        horizon = self.ldst.horizons(now)[1]
         if self._alu_pipe and self._alu_pipe[0][0] < horizon:
             horizon = self._alu_pipe[0][0]
         return horizon

@@ -18,9 +18,10 @@ for throughput: counters are pre-interned
 inlines the cache/MSHR/miss-queue probes, and response draining tests
 the raw reply deque the memory system exposes.  The stall counters are
 pinned to hand-computed counts in ``tests/test_simt_ldst.py``.
-:meth:`LoadStoreUnit.quiet_horizon` tells the GPU how long the unit
-stays stalled, and :meth:`LoadStoreUnit.replay_stalls` bumps those
-counters for the cycles the clock jumps over.
+:meth:`LoadStoreUnit.horizons` tells the GPU when the unit next needs
+a visit and how long it stays stalled, and
+:meth:`LoadStoreUnit.replay_stalls` bumps those counters for the cycles
+the clock jumps over.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class LoadStoreUnit:
         self._reply_entries = memory_system.response_entries(sm_id)
         self._hit_delay = config.l1.hit_latency + config.writeback_latency
         self._sm_base = config.sm_base_latency
-        # What each cycle before the last quiet_horizon bumps: LD/ST
+        # What each cycle before the last quiet horizon bumps: LD/ST
         # stall slots, and the miss-queue head try_inject refuses.
         self._stalls: List[int] = []
         self._refused: Optional[MemoryRequest] = None
@@ -462,70 +463,53 @@ class LoadStoreUnit:
             or len(self.l1_mshr)
         )
 
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which the unit has work to do."""
-        later = now + 1
-        best = None
-        writebacks = self._writebacks
-        if writebacks:
-            time = writebacks[0][0]
-            best = time if time > later else later
-        queue = self.l1_access_queue
-        if queue:
-            time = queue[0][0]
-            if time < later:
-                time = later
-            if best is None or time < best:
-                best = time
-        if self._miss_entries or self.instruction_queue:
-            if best is None or later < best:
-                best = later
-        return best
+    def horizons(self, now: int) -> Tuple[float, float]:
+        """``(visit, quiet)`` after a cycle at ``now``.
 
-    def quiet_horizon(self, now: int) -> float:
-        """Earliest cycle after ``now`` at which the unit's state can
+        *quiet* is the earliest cycle at which the unit's state can
         change without outside input, or ``now + 1`` when it can next
-        cycle.
-
-        Outside input is a reply from the memory system, or a freed
-        request-network credit for the miss-queue head; the memory
+        cycle.  Outside input is a reply from the memory system, or a
+        freed request-network credit for the miss-queue head; the memory
         system's own horizon covers both.  Until the horizon each cycle
-        bumps the same stall counters, recorded for :meth:`replay_stalls`:
-        an L1-stage head blocked on an MSHR merge, a full MSHR table or a
-        full miss queue; a miss-queue head ``try_inject`` refuses; and a
-        full L1 stage holding back the next access.
+        bumps the same stall counters, recorded for
+        :meth:`replay_stalls`: an L1-stage head blocked on an MSHR
+        merge, a full MSHR table or a full miss queue; a miss-queue head
+        ``try_inject`` refuses; and a full L1 stage holding back the
+        next access.  *visit* is ``now + 1`` while any of those polls,
+        and *quiet* otherwise.
         """
         later = now + 1
         if self._reply_entries:
-            return later
+            return later, later
         stalls = self._stalls = []
         self._refused = None
-        horizon = self._writebacks[0][0] if self._writebacks else math.inf
-        if horizon <= later:
-            return later
+        quiet = self._writebacks[0][0] if self._writebacks else math.inf
+        if quiet <= later:
+            return later, later
         queue = self.l1_access_queue
         if queue:
             ready, request = queue[0]
             if ready > later:
-                horizon = min(horizon, ready)
+                if ready < quiet:
+                    quiet = ready
             else:
                 slot = self._l1_stall(request)
                 if slot is None:
-                    return later
+                    return later, later
                 stalls.append(slot)
         if self._miss_entries:
             request = self._miss_entries[0]
             if self.memory_system.can_inject(request.address):
-                return later
+                return later, later
             stalls.append(self._s_icnt_stall)
             self._refused = request
         if self.instruction_queue:
             pending = self.instruction_queue[0]
             if (pending.is_shared or not pending.remaining_lines
                     or len(queue) < self.L1_STAGE_DEPTH):
-                return later
+                return later, later
             stalls.append(self._s_stage_full)
-        return horizon
+        return (later if stalls else quiet), quiet
 
     def _l1_stall(self, request: MemoryRequest) -> Optional[int]:
         """The stall slot :meth:`_access_l1` bumps instead of moving
@@ -554,7 +538,7 @@ class LoadStoreUnit:
         return self._s_missq_stall if self._miss_queue_full() else None
 
     def replay_stalls(self, cycles: int) -> None:
-        """Bump the stall counters of the last :meth:`quiet_horizon` once
+        """Bump the stall counters of the last :meth:`horizons` once
         per cycle of a ``cycles``-long jump that ends at or before it."""
         stats = self.stats
         for slot in self._stalls:

@@ -152,23 +152,20 @@ class VectorCore(FastCore):
         after the last body run stays exact until the next one.  The
         cache is marked stale by each body run and refreshed on demand —
         the GPU only asks for event times on stops where nothing issued,
-        so issuing cycles never pay for the enumeration.  A fresh value
-        always lies in the future (every enumerated time clamps to at
+        so issuing cycles never pay for the enumeration.  A cached value
+        always lies in the future: every enumerated time clamps to at
         least ``now + 1``, and a stop at or past it runs the body, which
-        re-marks the cache stale); the non-positive branch is defensive
-        only.
+        re-marks the cache stale or refreshes it (pinned at every clock
+        decision by ``tests/test_fastpath_equivalence.py``).
         """
         if self._sm_next_stale:
             next_event = super().next_event_time(now)
             self._sm_next = _NEVER if next_event is None else float(next_event)
             self._sm_next_stale = False
             return next_event
-        next_event = self._sm_next
-        if next_event <= now:  # pragma: no cover - see docstring
-            return super().next_event_time(now)
-        if next_event == _NEVER:
+        if self._sm_next == _NEVER:
             return None
-        return int(next_event)
+        return int(self._sm_next)
 
 
 class VectorEstimatorCore(VectorCore):

@@ -132,8 +132,9 @@ class TestQuietJumpGate:
 
 class TestMemoryWakeGate:
     """The memory system skips its body until its cached wake time, so an
-    idle interconnect is not ticked on every cycle, and it enumerates its
-    quiet horizon only when the cheaper wake enumeration finds a poller.
+    idle interconnect is not ticked on every cycle, and it walks its
+    components once per body run for both its visit and its quiet
+    horizon.
 
     Both counts are per body run or per simulated cycle, never per
     drive-loop iteration: the stall jump removes iterations, not body
@@ -146,15 +147,38 @@ class TestMemoryWakeGate:
         run_verified(gpu, workload)
         assert 100 * ticks[0] <= gpu.cycle, (ticks[0], gpu.cycle)
 
-    def test_atlas_cell_enumerates_the_quiet_horizon_when_polled(
-            self, monkeypatch):
-        gpu, workload = build_cell("atlas", "vector")
+    @pytest.mark.parametrize("cell", ["atlas", "bfs"])
+    def test_one_walk_per_body_run_or_input_refresh(self, monkeypatch,
+                                                    cell):
+        # Beyond the walk after each body run (one request_network.cycle
+        # each), only SM input marks the visit stale, and the next
+        # next_event_time walks again: at most once per cycle with input.
+        gpu, workload = build_cell(cell, "vector")
         memory = gpu.memory_system
-        ticks = count_calls(monkeypatch, memory.request_network, "cycle")
-        horizons = count_calls(monkeypatch, memory,
-                               "_compute_quiet_horizon")
+        body_runs = count_calls(monkeypatch, memory.request_network,
+                                "cycle")
+        walks = count_calls(monkeypatch, memory, "_walk")
+        input_cycles = set()
+        try_inject, pop_response = memory.try_inject, memory.pop_response
+
+        def injecting(sm_id, request, now):
+            injected = try_inject(sm_id, request, now)
+            if injected:
+                input_cycles.add(now)
+            return injected
+
+        def popping(sm_id):
+            response = pop_response(sm_id)
+            if response is not None:
+                input_cycles.add(gpu.cycle)
+            return response
+
+        monkeypatch.setattr(memory, "try_inject", injecting)
+        monkeypatch.setattr(memory, "pop_response", popping)
         run_verified(gpu, workload)
-        assert 2 * horizons[0] <= ticks[0], (horizons[0], ticks[0])
+        assert body_runs[0] and input_cycles
+        assert walks[0] <= body_runs[0] + len(input_cycles), (
+            walks[0], body_runs[0], len(input_cycles))
 
 
 class TestReadySetGate:

@@ -15,13 +15,15 @@ These tests pin those properties:
   divergent branches, global/shared memory traffic, barriers) agree;
 * the ``estimator`` core verifies, reports exact instruction counts, and
   its cycle counts stay within the documented two-sided 10% bound;
-* ``next_event_time`` never reports an event in the past — the invariant
-  the idle fast-forward and the wake-time cache both rely on.
+* every component's ``horizons`` keep the clock contract at every clock
+  decision — the next visit lies in the future, no later than the quiet
+  horizon — and the cached times the GPU reads match a fresh walk.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -397,50 +399,81 @@ class TestEstimatorBounds:
                     <= ref.cycles * ESTIMATOR_CYCLE_ERROR_BOUND + slack)
 
 
-class TestNextEventTimeInvariant:
-    @pytest.mark.parametrize("core", ["fast", "vector"])
-    def test_next_event_time_never_in_the_past(self, monkeypatch, core):
-        """Every component's next event is strictly after ``now``.
+def check_horizons(now, name, visit, quiet):
+    """The one-method contract: the next visit lies in the future, no
+    later than the quiet horizon, and is either the next cycle (something
+    polls) or the quiet horizon itself."""
+    assert now < visit <= quiet, (name, now, visit, quiet)
+    assert visit in (now + 1, quiet), (name, now, visit, quiet)
 
-        Checked live at every idle fast-forward decision of a real
-        (memory-heavy) run, which is exactly where a stale or past event
-        time would corrupt the simulation clock.
+
+class TestHorizonContract:
+    @pytest.mark.parametrize("core", ["fast", "vector"])
+    def test_every_clock_decision(self, monkeypatch, core):
+        """Every component's ``(visit, quiet)`` keeps the contract, and
+        the times the GPU reads from caches match a fresh walk.
+
+        Checked live at every clock-advance decision of a real
+        (memory-heavy) run, which is exactly where a stale or past time
+        would corrupt the simulation clock.
         """
         from repro.gpu.gpu import GPU as GPUClass
+        from repro.simt.core import StreamingMultiprocessor
 
         checked_cycles = []
+        polled = []
 
         def checked(gpu, issued):
             now = gpu.cycle
-            components = [gpu.memory_system,
-                          gpu.memory_system.request_network,
-                          gpu.memory_system.reply_network]
-            components.extend(gpu.memory_system.partitions)
-            components.extend(
-                partition.dram for partition in gpu.memory_system.partitions)
-            components.extend(
-                partition.l2 for partition in gpu.memory_system.partitions
-                if partition.l2 is not None)
-            components.extend(gpu.sms)
-            components.extend(sm.ldst for sm in gpu.sms)
-            for component in components:
-                event_time = component.next_event_time(now)
-                assert event_time is None or event_time >= now + 1, (
-                    f"{type(component).__name__} reported event at "
-                    f"{event_time} when now={now}"
-                )
+            memory = gpu.memory_system
+            walks = [("request_network",
+                      memory.request_network.horizons(now, [])),
+                     ("reply_network",
+                      memory.reply_network.horizons(now, []))]
+            for partition in memory.partitions:
+                pid = partition.partition_id
+                walks.append((f"partition{pid}",
+                              partition.horizons(now, [])))
+                walks.append((f"dram{pid}",
+                              partition.dram.horizons(now, [])))
+                if partition.l2 is not None:
+                    walks.append((f"l2slice{pid}", partition.l2.horizons(
+                        now, partition.dram, partition.return_queue, [])))
+            for sm in gpu.sms:
+                walks.append((f"sm{sm.sm_id}.ldst", sm.ldst.horizons(now)))
+            # The memory system serves its visit from the walk after its
+            # last body run (or SM input), and gates its body on a quiet
+            # horizon that is never later than a fresh walk's.
+            visit, quiet = memory._walk(now, [])
+            walks.append(("memory", (visit, quiet)))
+            served = memory.next_event_time(now)
+            assert (math.inf if served is None else served) == visit, now
+            assert memory.quiet_horizon(now) <= quiet, now
+            for name, (visit, quiet) in walks:
+                check_horizons(now, name, visit, quiet)
+                polled.append(visit < quiet)
+            for sm in gpu.sms:
+                if core == "vector" and not sm._sm_next_stale:
+                    # The device-skip loop's cache: a value in the past
+                    # would stop the clock on an event already gone.
+                    assert sm._sm_next > now, (sm.sm_id, now)
+                fresh = StreamingMultiprocessor.next_event_time(sm, now)
+                assert fresh is None or fresh > now, (sm.sm_id, now)
+                assert sm.next_event_time(now) == fresh, (sm.sm_id, now)
             checked_cycles.append(now)
 
         # _clock_check_hook is the dedicated seam: it fires at every
         # clock-advance decision of both cycle loops (the generic one
-        # and the vector backends' device-skip loop, which inlines its
-        # clock advance and never calls _advance_clock).
+        # and the vector backend's device-skip loop).
         monkeypatch.setattr(GPUClass, "_clock_check_hook",
                             staticmethod(checked))
         run_workload(make_fast_config(core_backend=core), "bfs",
                      {"num_nodes": 128, "avg_degree": 5, "block_dim": 64,
                       "seed": 17})
         assert checked_cycles
+        # Some decision found a poller that cannot move: the visit and
+        # the quiet horizon really differ there.
+        assert any(polled)
 
 
 def build_wide_register_kernel():

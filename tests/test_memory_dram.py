@@ -144,13 +144,13 @@ class TestChannelBehaviour:
         serial_last = run_until_complete(serial)[-1][0]
         assert parallel_last < serial_last
 
-    def test_next_event_time(self):
+    def test_next_visit(self):
         channel, _ = make_channel()
-        assert channel.next_event_time(0) is None
+        assert channel.horizons(0, [])[0] == float("inf")
         channel.enqueue(read_request(0), 0)
-        assert channel.next_event_time(0) == 1
+        assert channel.horizons(0, [])[0] == 1
         channel.cycle(0)
-        assert channel.next_event_time(0) > 1
+        assert channel.horizons(0, [])[0] > 1
 
     def test_in_flight_accounting(self):
         channel, _ = make_channel()

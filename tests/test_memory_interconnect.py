@@ -103,17 +103,19 @@ class TestCredits:
         assert icnt.total_pending() == 1
 
 
-class TestNextEvent:
+class TestNextVisit:
+    """The visit half of ``horizons``: the next cycle the network needs."""
+
     def test_idle_network_has_no_event(self):
-        assert make_icnt().next_event_time(0) is None
+        assert make_icnt().horizons(0, [])[0] == float("inf")
 
     def test_in_flight_packet_reports_arrival(self):
         icnt = make_icnt(latency=7)
         icnt.inject(0, 1, "a", now=2)
-        assert icnt.next_event_time(3) == 9
+        assert icnt.horizons(3, [])[0] == 9
 
     def test_waiting_output_reports_next_cycle(self):
         icnt = make_icnt(latency=1)
         icnt.inject(0, 1, "a", now=0)
         icnt.cycle(1)
-        assert icnt.next_event_time(5) == 6
+        assert icnt.horizons(5, [])[0] == 6

@@ -1,8 +1,9 @@
 """Quiet horizons: the promise behind the stall jump.
 
-After a cycle, a fast component reports a *quiet horizon*: the earliest
-cycle at which its state can change without outside input, plus the
-stall counters one idle cycle before it bumps.  ``GPU._sleep_through_stalls``
+After a cycle, each component's ``horizons`` reports its next *visit*
+and its *quiet horizon*: the earliest cycle at which its state can
+change without outside input, plus the stall counters one idle cycle
+before it bumps.  ``GPU._sleep_through_stalls``
 jumps the clock over those cycles and bumps the counters in bulk.
 
 The tests here hold each component to that promise directly.  At a
@@ -48,17 +49,25 @@ def counters(*stats):
     return merged
 
 
-def check_quiet_window(component, now, tick, stats_of, follow=30):
+def check_quiet_window(component, now, tick, stats_of, polls=None,
+                       follow=30):
     """Hold ``component`` (just ticked at ``now``) to its quiet horizon.
 
-    Returns the horizon and the reported stalls.  When the horizon lies
-    beyond ``now + 1``, a ticked copy and a replayed copy must agree on
-    ``stats_of`` at the end of the window and on every one of the
-    ``follow`` cycles after it.
+    Returns the horizon and the reported stalls.  The visit ``horizons``
+    reports with it lies after ``now``, no later than the horizon, and
+    is either ``now + 1`` or the horizon; it is the horizon itself when
+    no stall was reported and nothing waits on the component (``polls``,
+    given the component, says whether something does).  When the
+    horizon lies beyond ``now + 1``, a ticked copy and a replayed copy
+    must agree on ``stats_of`` at the end of the window and on every one
+    of the ``follow`` cycles after it.
     """
     stalls = []
-    horizon = component.quiet_horizon(now, stalls)
-    assert horizon > now
+    visit, horizon = component.horizons(now, stalls)
+    assert now < visit <= horizon, (now, visit, horizon)
+    assert visit in (now + 1, horizon), (now, visit, horizon)
+    if not stalls and not (polls is not None and polls(component)):
+        assert visit == horizon, (now, visit, horizon)
     if horizon <= now + 1:
         return horizon, stalls
     end = int(min(horizon, now + 1 + SPAN))
@@ -88,24 +97,25 @@ class TestInterconnectHorizon:
     def test_empty_network_is_quiet_forever(self):
         icnt = self.make()
         stalls = []
-        assert icnt.quiet_horizon(0, stalls) == float("inf")
+        assert icnt.horizons(0, stalls) == (float("inf"), float("inf"))
         assert stalls == []
 
     def test_horizon_is_the_next_arrival(self):
         icnt = self.make()
         icnt.inject(0, 0, "pkt", now=2)
         stalls = []
-        assert icnt.quiet_horizon(2, stalls) == 5
+        assert icnt.horizons(2, stalls) == (5, 5)
         assert stalls == []
         icnt.cycle(5)
-        assert icnt.quiet_horizon(5, stalls) == float("inf")
+        # The delivered packet waits for its consumer, which polls it.
+        assert icnt.horizons(5, stalls) == (6, float("inf"))
 
     def test_arrived_head_with_room_moves_next_cycle(self):
         icnt = self.make(out_queue=2)
         for index in range(2):
             icnt.inject(0, 0, index, now=0)
         icnt.cycle(3)
-        assert icnt.quiet_horizon(3, []) == 4
+        assert icnt.horizons(3, []) == (4, 4)
 
     def test_blocked_output_replays_like_ticking(self):
         # Destination 0's one-entry output is full with two more packets
@@ -119,8 +129,12 @@ class TestInterconnectHorizon:
         def tick(network, cycle):
             network.cycle(cycle)
 
+        def polls(network):
+            return any(network.has_output(destination)
+                       for destination in range(network.num_destinations))
+
         horizon, stalls = check_quiet_window(
-            icnt, 5, tick, lambda network: counters(network.stats))
+            icnt, 5, tick, lambda network: counters(network.stats), polls)
         assert horizon == 8
         assert stalls == [(icnt.stats, icnt.stats.slot(
             "output_blocked_cycles"))]
@@ -139,7 +153,7 @@ class TestDramHorizon:
         channel, _ = self.make()
         channel.cycle(0)
         stalls = []
-        assert channel.quiet_horizon(0, stalls) == float("inf")
+        assert channel.horizons(0, stalls) == (float("inf"), float("inf"))
         assert stalls == []
 
     def test_all_banks_busy_replays_like_ticking(self):
@@ -194,6 +208,11 @@ class TestPartitionHorizon:
     def tick(partition, cycle):
         partition.cycle(cycle)
 
+    @staticmethod
+    def polls(partition):
+        # Responses wait for the reply network, outside the partition.
+        return bool(partition.return_queue or partition._fill_overflow)
+
     def drive(self, config, make_request):
         mapping = AddressMapping(num_partitions=1, partition_chunk=256,
                                  row_bytes=512, num_banks=2)
@@ -209,7 +228,7 @@ class TestPartitionHorizon:
                 line += 1
             self.tick(partition, now)
             horizon, stalls = check_quiet_window(partition, now, self.tick,
-                                                 self.stats_of)
+                                                 self.stats_of, self.polls)
             quiet += horizon > now + 1
             for stats, slot in stalls:
                 seen.add(next(name for name, index in stats._index.items()
@@ -357,7 +376,8 @@ class TestLoadStoreUnitHorizon:
         tick_unit(ticked, 40)
         replayed, replayed_memory = stalled_ldst(case)
         tick_unit(replayed, 6)
-        horizon = replayed.quiet_horizon(5)
+        visit, horizon = replayed.horizons(5)
+        assert visit == 6
         assert horizon > 6
         assert replayed._stalls or replayed._refused is not None
         end = int(min(horizon, 30))
@@ -373,17 +393,17 @@ class TestLoadStoreUnitHorizon:
     def test_waiting_reply_moves_next_cycle(self):
         unit, memory_system = stalled_ldst("mshr_full")
         tick_unit(unit, 2)
-        assert unit.quiet_horizon(1) > 2
+        assert unit.horizons(1)[1] > 2
         now = 2
         while not unit._reply_entries:
             memory_system.cycle(now)
             now += 1
             assert now < 500
-        assert unit.quiet_horizon(now) == now + 1
+        assert unit.horizons(now) == (now + 1, now + 1)
 
     def test_idle_unit_is_quiet_forever(self):
         unit, _, _, _ = build_harness()
-        assert unit.quiet_horizon(0) == float("inf")
+        assert unit.horizons(0) == (float("inf"), float("inf"))
         assert unit._stalls == []
 
 
