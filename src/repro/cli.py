@@ -86,10 +86,11 @@ simulating — the stderr progress stream labels each record ``cache``,
 fresh results are written back, which makes interrupted sweeps
 resumable.  Every experiment subcommand also accepts ``--core NAME`` to
 pick the simulation-core backend (``repro cores`` lists them):
-``reference``, ``fast``, and ``vector`` are byte-identical and share
-stored results; ``estimator`` trades exact cycle counts for speed and
-is stored separately.  ``--core`` is the only command-line choice of
-core; without it each configuration's ``core_backend`` decides.
+``reference`` and ``fast`` (with its alias ``vector``) are
+byte-identical and share stored results; ``estimator`` trades exact
+cycle counts for speed and is stored separately.  ``--core`` is the
+only command-line choice of core; without it each configuration's
+``core_backend`` decides.
 """
 
 from __future__ import annotations
@@ -807,10 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--core", metavar="NAME",
             help="simulation-core backend to run on (see 'repro cores'); "
-                 "reference/fast/vector are byte-identical and share "
-                 "stored results, estimator is approximate and stored "
-                 "separately (default: each configuration's own choice, "
-                 "normally 'fast')")
+                 "reference and fast (alias vector) are byte-identical "
+                 "and share stored results, estimator is approximate "
+                 "and stored separately (default: each configuration's "
+                 "own choice, normally 'fast')")
 
     def add_store_flag(subparser: argparse.ArgumentParser,
                        required: bool = False) -> None:

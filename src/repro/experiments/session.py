@@ -128,9 +128,8 @@ class Session:
         :meth:`add_config` to add ad-hoc variants (ablation studies).
     core:
         Optional simulation-core backend name: ``"reference"``,
-        ``"fast"``, ``"vector"`` (the fast core behind a cached SM
-        quiescence gate), ``"estimator"``, or anything
-        registered through
+        ``"fast"``, ``"vector"`` (an alias of ``"fast"``),
+        ``"estimator"``, or anything registered through
         :func:`~repro.simt.backend.register_core_backend`.  When set,
         every configuration this session resolves runs on that backend;
         when ``None`` (the default) each configuration's own

@@ -81,10 +81,12 @@ def check_registry_coverage() -> None:
         )
 
 
-#: Core backends the smoke matrix exercises by default.  The reference
-#: core is deliberately absent (it is the slow golden baseline, pinned
-#: by the equivalence tests instead); a session constructed with an
-#: explicit ``core`` restricts the matrix to that one backend.
+#: Core backends the smoke matrix exercises by default.  ``vector`` is
+#: an alias of ``fast`` (the one gated exact core), so with a store its
+#: pass is served the ``fast`` pass's records.  The reference core is
+#: deliberately absent (it is the slow golden baseline, pinned by the
+#: equivalence tests instead); a session constructed with an explicit
+#: ``core`` restricts the matrix to that one backend.
 SMOKE_CORES = ("fast", "vector")
 
 

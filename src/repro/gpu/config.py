@@ -65,11 +65,10 @@ class GPUConfig:
         ``Session(core=...)``, ``ParallelExecutor(core=...)`` and the
         CLI's ``--core`` override it per run.
         Built-ins: ``"reference"`` (trusted straight-line loop),
-        ``"fast"`` (event-skipping ready sets, the default),
-        ``"vector"`` (the fast core behind a cached SM quiescence
-        gate, run by the GPU's device-level skip loop; byte-identical),
-        and
-        ``"estimator"`` (vector core with quantized memory timing —
+        ``"fast"`` (event-skipping ready sets behind a cached SM
+        quiescence gate, run by the GPU's gated drive loop; the
+        default), ``"vector"`` (an alias of ``"fast"``), and
+        ``"estimator"`` (the fast core with quantized memory timing —
         approximate cycle counts, keyed separately in the result
         store).  Validated against the registry when a
         :class:`~repro.gpu.gpu.GPU` is built.

@@ -400,11 +400,12 @@ class GPU:
         stays unattributed).
 
         When every SM's backend opts in (``supports_device_skip``), the
-        loop runs through :meth:`_drive_skip`, which hoists the per-SM
-        quiescence gate to device level so fully parked SMs are skipped
-        wholesale instead of being polled object-by-object every cycle.
-        Both loops sleep through stalls with
-        :meth:`_sleep_through_stalls`.
+        loop runs through :meth:`_drive_skip`, which reads each SM's
+        quiescence gate so fully parked SMs are skipped wholesale, and
+        which sleeps through stalls.  The loop here serves the engines
+        that do neither (``reference`` and third-party backends built on
+        the base class): it visits every cycle at which any component
+        has work.
         """
         self._attributing = attribute
         try:
@@ -441,7 +442,7 @@ class GPU:
             _ATTRIBUTION[0] = None
 
     def _drive_skip(self, attribute: bool) -> None:
-        """Device-level skip variant of the cycle loop (vector backends).
+        """Gated variant of the cycle loop (``fast`` and its kin).
 
         Mirrors each SM's cached wake time (``sm._sm_wake``) in a local
         array so a fully parked SM costs one comparison and one deque
@@ -455,9 +456,9 @@ class GPU:
         before the next body run — float counter sums of integer
         amounts are exact, so totals stay byte-identical to the
         per-cycle loop.  The clock moves through :meth:`_advance_clock`
-        as in the generic loop; a stall jump asks only the SMs that are
-        not parked for a quiet horizon, and the parked ones are credited
-        the jumped cycles in ``pending`` too.
+        as in the generic loop, which asks only the SMs that are not
+        parked for their next event and quiet horizon; the parked ones
+        are credited the jumped cycles in ``pending`` too.
         """
         sms = self.sms
         num_sms = len(sms)
@@ -488,9 +489,9 @@ class GPU:
 
         def park(later: int) -> Tuple[List[StreamingMultiprocessor],
                                       float]:
-            # SMs gated past the next cycle stay gated through any jump
-            # that ends by their wake; the rest must each report a quiet
-            # horizon.
+            # An SM gated past the next cycle has its wake as its next
+            # event and stays gated through any jump that ends by it;
+            # the rest must each report both.
             parked.clear()
             awake = []
             bound = math.inf
@@ -668,12 +669,14 @@ class GPU:
 
         After an issue the clock moves to the next cycle.  Otherwise it
         moves to the earliest event the memory system or any SM
-        reports; when that is the next cycle (something polls),
-        :meth:`_sleep_through_stalls` may jump it further.  ``park``,
-        given ``now + 1``, picks the SMs that must report a quiet
-        horizon for that jump and the earliest cycle any other SM wakes;
-        the caller replays the idle cycles of those others.  Returns the
-        number of stalled cycles jumped over (0 without a jump).
+        reports.  The gated loop passes ``park``: given ``now + 1``, it
+        picks the SMs not parked past it and the earliest wake of the
+        parked ones, which stands in for their events.  Only those SMs
+        are asked, and when the earliest event is the next cycle
+        (something polls), :meth:`_sleep_through_stalls` may jump the
+        clock further; the caller replays the idle cycles of the parked
+        SMs.  Returns the number of stalled cycles jumped over (0
+        without a jump).
         """
         hook = type(self)._clock_check_hook
         if hook is not None:
@@ -683,8 +686,12 @@ class GPU:
         if issued:
             self.cycle = later
             return 0
+        sms, bound = (self.sms, math.inf) if park is None else park(later)
         best = self.memory_system.next_event_time(now)
-        for sm in self.sms:
+        # A parked SM's wake is its next event (FastCore caches both).
+        if best is None or bound < best:
+            best = None if bound == math.inf else int(bound)
+        for sm in sms:
             event_time = sm.next_event_time(now)
             if event_time is not None and (best is None or event_time < best):
                 best = event_time
@@ -692,19 +699,15 @@ class GPU:
             raise SimulationError(
                 "simulation deadlock: nothing issued and no pending events"
             )
-        if best > later:
+        if best > later or park is None:
             self.cycle = best
             return 0
-        if park is None:
-            sms, bound = self.sms, math.inf
-        else:
-            sms, bound = park(later)
         self.cycle = self._sleep_through_stalls(now, sms, bound)
         return self.cycle - later
 
     def _sleep_through_stalls(self, now: int,
                               sms: List[StreamingMultiprocessor],
-                              bound: float = math.inf) -> int:
+                              bound: float) -> int:
         """The cycle to move the clock to after a no-issue stop at ``now``
         whose next event is ``now + 1`` (something polls).
 
@@ -731,7 +734,7 @@ class GPU:
             return later
         for sm in sms:
             sm_horizon = sm.quiet_horizon(now)
-            if sm_horizon is None or sm_horizon <= later:
+            if sm_horizon <= later:
                 return later
             if sm_horizon < horizon:
                 horizon = sm_horizon

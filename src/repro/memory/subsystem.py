@@ -303,11 +303,9 @@ class MemorySystem:
 
     def quiet_horizon(self, now: int) -> float:
         """Earliest cycle after ``now`` at which the memory system can
-        change state without SM input (``now + 1`` on reference memory,
-        which never sleeps through stalls, and after SM input until the
-        next body run)."""
-        if self.reference_memory:
-            return now + 1
+        change state without SM input (``now + 1`` after SM input until
+        the next body run, and always on reference memory, which never
+        walks)."""
         return max(self._wake, now + 1)
 
     def replay_stalls(self, cycles: int) -> None:

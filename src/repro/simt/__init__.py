@@ -26,7 +26,7 @@ from repro.simt.scheduler import (
 )
 from repro.simt.scoreboard import Scoreboard
 from repro.simt.simt_stack import SIMTStack, StackEntry
-from repro.simt.vector import VectorCore, VectorEstimatorCore
+from repro.simt.vector import VectorEstimatorCore
 from repro.simt.warp import Warp
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "Scoreboard",
     "StackEntry",
     "StreamingMultiprocessor",
-    "VectorCore",
     "VectorEstimatorCore",
     "Warp",
     "WarpScheduler",

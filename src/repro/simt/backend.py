@@ -1,15 +1,15 @@
 """Simulation-core backend registry.
 
-The SM has grown more than one implementation of its per-cycle engine:
-the trusted straight-line :class:`~repro.simt.core.StreamingMultiprocessor`
-(``reference``), the event-skipping ready-set core (``fast``), and the
-device-skip core (``vector`` — ``fast``'s candidate sets behind a cached
-SM quiescence gate, run by the GPU's device-level skip loop — plus its
-approximate ``estimator`` variant) from :mod:`repro.simt.vector`.  This module gives
+The SM has two exact per-cycle engines: the trusted straight-line
+:class:`~repro.simt.core.StreamingMultiprocessor` (``reference``) and the
+event-skipping ready-set core behind a cached SM quiescence gate, run by
+the GPU's gated drive loop (``fast``).  :mod:`repro.simt.vector` adds
+``fast``'s approximate ``estimator`` variant and ``vector``, an alias of
+``fast`` kept for the smoke matrix's core list.  This module gives
 them a front door in the same style as ``register_workload`` /
 ``register_config`` / ``register_store``: a :class:`CoreBackend`
 descriptor registered by name in an open :class:`~repro.utils.registry
-.Registry`, so a fourth backend is one ``register_core_backend`` call
+.Registry`, so a new backend is one ``register_core_backend`` call
 away and every consumer dispatches through the same names.
 
 A core is chosen by name alone, in exactly two ways: a configuration's
@@ -36,17 +36,28 @@ A backend's :attr:`~CoreBackend.factory` must build an object with the
   the GPU's idle fast-forward clock: ``next_event_time`` is the SM's
   next *visit*, ``now + 1`` while anything polls, otherwise its
   earliest timed event (``None`` when there is none);
-* ``quiet_horizon(now)`` (and, when it returns a horizon,
-  ``replay_stalls(cycles)``) — the stall jump: the earliest cycle the SM
-  can change state without a memory reply, and the bulk replay of the
-  stall counters of the cycles the GPU jumps over.  The base class
-  returns ``None``, which keeps the GPU from jumping.  Both methods
-  read the LD/ST unit's part from one walk of it,
+* ``collect_stats()`` / ``stats`` — counter collection.
+
+An engine that sets ``supports_device_skip`` is run by the GPU's gated
+drive loop (:meth:`~repro.gpu.gpu.GPU._drive_skip`) and must add:
+
+* the gate: ``_sm_wake``, the next cycle its body must run, and
+  ``_reply_entries``, the memory replies that open the gate early.  A
+  body run before the wake may only bump the per-scheduler issue-idle
+  counters, which the loop replays in bulk; the wake of an SM gated past
+  a decision is its next event;
+* ``quiet_horizon(now)`` / ``replay_stalls(cycles)`` — the stall jump:
+  the earliest cycle the SM can change state without a memory reply,
+  and the bulk replay of the stall counters of the cycles the GPU jumps
+  over.  :class:`~repro.simt.core.FastCore` reads the LD/ST unit's part
+  of this and of ``next_event_time`` from one walk of it,
   :meth:`~repro.simt.ldst.LoadStoreUnit.horizons`, which returns its
   visit and its quiet horizon together, as each memory component's
   ``horizons`` does (see ``docs/architecture.md``, "The clock
-  contract");
-* ``collect_stats()`` / ``stats`` — counter collection.
+  contract").
+
+Every other engine runs its body on each cycle the GPU visits, and the
+clock never jumps over a stalled cycle.
 
 **Parked-warp invariant** (established by PR 3, inherited by every
 event-driven backend): a warp outside the backend's ready/candidate set

@@ -25,8 +25,8 @@ they are registered by name through :mod:`repro.simt.backend` so
 ``GPUConfig.core_backend`` / ``Session(core=...)`` / ``repro --core``
 can select them.  This module registers ``reference``
 (:class:`ReferenceCore`) and ``fast`` (:class:`FastCore`, the
-event-skipping path); :mod:`repro.simt.vector` adds ``vector``
-(:class:`FastCore` behind a cached SM quiescence gate) and
+event-skipping path behind a cached SM quiescence gate);
+:mod:`repro.simt.vector` adds ``vector`` (an alias of ``fast``) and
 ``estimator``.  See :mod:`repro.simt.backend` for the interface contract
 and the parked-warp invariant every event-driven backend must uphold.
 """
@@ -158,12 +158,9 @@ class StreamingMultiprocessor:
     backend_name = "reference"
     #: Whether this engine is byte-identical to the reference core.
     exact = True
-    #: Whether the GPU may hoist this engine's quiescence gate to device
-    #: level (see :meth:`repro.gpu.gpu.GPU._drive_skip`).  Requires the
-    #: ``_sm_wake``/``_reply_entries`` gate contract that
-    #: :class:`~repro.simt.vector.VectorCore` adds on top of
-    #: :class:`FastCore`; every other engine runs its body on each
-    #: cycle the GPU visits.
+    #: Whether the GPU runs this engine through its gated drive loop
+    #: (:meth:`repro.gpu.gpu.GPU._drive_skip`); see :class:`FastCore`.
+    #: Every other engine runs its body on each cycle the GPU visits.
     supports_device_skip = False
 
     def __init__(
@@ -619,25 +616,18 @@ class StreamingMultiprocessor:
     def next_event_time(self, now: int) -> Optional[int]:
         """Earliest future cycle at which SM state can change: the next
         ALU completion or the LD/ST unit's visit."""
-        visit = self.ldst.horizons(now)[0]
-        if self._alu_pipe:
-            done = max(self._alu_pipe[0][0], now + 1)
-            if done < visit:
-                visit = done
+        visit = self._horizons(now)[0]
         return None if visit == math.inf else int(visit)
 
-    def quiet_horizon(self, now: int) -> Optional[float]:
-        """Earliest cycle after ``now`` at which this SM's state can change
-        without outside input, or ``None`` when the engine cannot tell.
-
-        An engine that returns a horizon later than ``now + 1`` promises
-        that every cycle before it only bumps stall counters, which its
-        ``replay_stalls(cycles)`` then bumps for a jump of ``cycles``
-        cycles; the GPU jumps the clock only when every SM and the
-        memory system agree (see ``GPU._sleep_through_stalls``).  The
-        reference engine never jumps.
-        """
-        return None
+    def _horizons(self, now: int) -> Tuple[float, float]:
+        """``(visit, quiet)`` of the ALU pipeline and the LD/ST unit from
+        one LD/ST walk: the next ALU completion bounds both."""
+        visit, quiet = self.ldst.horizons(now)
+        if self._alu_pipe:
+            done = self._alu_pipe[0][0]
+            quiet = min(quiet, done)
+            visit = min(visit, max(done, now + 1))
+        return visit, quiet
 
     def collect_stats(self, launch_id: Optional[int] = None) -> StatCounters:
         """Combined SM statistics including the LD/ST unit and L1 cache.
@@ -680,9 +670,21 @@ class FastCore(StreamingMultiprocessor):
     conservative (a woken warp may re-park), which keeps the invariant
     simple: *any warp outside the ready set and the LD/ST-blocked set is
     not issuable*.
+
+    On top of the ready sets sits a cached SM quiescence gate that the
+    GPU's gated drive loop (:meth:`repro.gpu.gpu.GPU._drive_skip`) reads:
+    the body need not run before ``_sm_wake`` unless a memory reply
+    waits in ``_reply_entries``.  With every warp parked, a body run
+    before the wake would only bump the per-scheduler issue-idle
+    counters, which the loop replays in bulk instead — so skipped cycles
+    are byte-identical to executed quiescent ones.
     """
 
     backend_name = "fast"
+
+    #: Opt in to the GPU's gated drive loop: a gated cycle's only
+    #: observable effect is the per-scheduler issue-idle counters.
+    supports_device_skip = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -696,6 +698,20 @@ class FastCore(StreamingMultiprocessor):
             {} for _ in range(self._num_schedulers)
         ]
         self._barrier_ctas: Set[int] = set()
+        # The gate: ``_sm_wake`` is the next cycle the body must run.
+        # ``_sm_next``/``_sm_quiet`` are the SM-local visit and quiet
+        # horizon of one LD/ST walk, kept until the next body run marks
+        # them stale.
+        self._sm_wake: float = 0
+        self._sm_next: float = 0
+        self._sm_quiet: float = 0
+        self._sm_next_stale = True
+        self._reply_entries = self.memory_system.response_entries(self.sm_id)
+
+    def launch_cta(self, cta_id: int, launch: KernelLaunch, now: int) -> None:
+        super().launch_cta(cta_id, launch, now)
+        # New warps can issue next cycle: reopen the gate.
+        self._sm_wake = 0
 
     # ------------------------------------------------------------------
     # Hook implementations
@@ -746,17 +762,43 @@ class FastCore(StreamingMultiprocessor):
         if issued:
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
+        if (self._barrier_ctas or any(self._ready)
+                or any(self._ldst_blocked)):
+            # Warp state can change next cycle; the walk is only needed
+            # if the GPU stops without an issue, so defer it.
+            self._sm_wake = now + 1
+            self._sm_next_stale = True
+        else:
+            self._sm_wake = self._walk(now)
         return issued
 
-    def quiet_horizon(self, now: int) -> Optional[float]:
+    def _walk(self, now: int) -> float:
+        """Cache :meth:`_horizons` and return its visit.
+
+        Both times only change inside the body, so the cache stays exact
+        until the next body run marks it stale: the GPU asks for them
+        only at stops where nothing issued, and a stop at or past the
+        visit runs the body first.
+        """
+        self._sm_next, self._sm_quiet = self._horizons(now)
+        self._sm_next_stale = False
+        return self._sm_next
+
+    def next_event_time(self, now: int) -> Optional[int]:
+        """The base class's value, served from the walk cache."""
+        visit = self._walk(now) if self._sm_next_stale else self._sm_next
+        return None if visit == math.inf else int(visit)
+
+    def quiet_horizon(self, now: int) -> float:
         """Earliest cycle after ``now`` at which the SM can change state
-        without a memory reply (see the base class).
+        without a memory reply.
 
         Quiet means: no warp is a candidate, LD/ST-blocked warps stay
         blocked, no barrier can release, and the LD/ST unit is quiet;
         the horizon is then the earlier of the next ALU completion and
         the LD/ST unit's horizon.  Each cycle before it bumps every
-        scheduler's issue-idle counter plus the LD/ST stalls.
+        scheduler's issue-idle counter plus the LD/ST stalls, which
+        :meth:`replay_stalls` bumps for a jump of the GPU's clock.
         """
         later = now + 1
         if any(self._ready) or (any(self._ldst_blocked)
@@ -766,10 +808,9 @@ class FastCore(StreamingMultiprocessor):
             cta = self.ctas.get(cta_id)
             if cta is not None and cta.barrier_reached():
                 return later
-        horizon = self.ldst.horizons(now)[1]
-        if self._alu_pipe and self._alu_pipe[0][0] < horizon:
-            horizon = self._alu_pipe[0][0]
-        return horizon
+        if self._sm_next_stale:
+            self._walk(now)
+        return self._sm_quiet
 
     def replay_stalls(self, cycles: int) -> None:
         """Bump what ``cycles`` quiet cycles would (see

@@ -16,10 +16,10 @@ change:
     meant when the result was produced.  Session-local configs can bind
     the same name to different hardware, so the names alone (already in
     the spec) are not identity.  Exact core backends (``reference``,
-    ``fast``, and ``vector``, which is ``fast`` behind a cached SM
-    quiescence gate — byte-identical by contract, pinned by the
-    golden equivalence tests) are normalized to one name so any of them
-    may serve the others' stored results; approximate backends
+    ``fast``, and its alias ``vector`` — byte-identical by contract,
+    pinned by the golden equivalence tests) are normalized to one name
+    so any of them may serve the others' stored results; approximate
+    backends
     (``estimator``) keep their name and are keyed separately.
 ``code_version``
     :func:`~repro.store.version.code_version` — the simulator source
@@ -85,8 +85,8 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     The configurations are frozen dataclasses of frozen dataclasses, so
     their ``repr`` is a deterministic, complete rendering of every
     parameter.  The ``core_backend`` name is canonicalized to ``"fast"``
-    for backends registered as *exact* (``reference``, ``fast``,
-    ``vector``): those produce byte-identical results by contract —
+    for backends registered as *exact* (``reference``, ``fast`` and its
+    alias ``vector``): those produce byte-identical results by contract —
     pinned by the golden equivalence tests — so a store populated by one
     must serve the others.  Backends that are **not** proven
     byte-identical (``estimator``, or any name this process does not

@@ -23,10 +23,6 @@ from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
 from repro.sensitivity import parse_transform
 from repro.simt.core import StreamingMultiprocessor
-from repro.simt.scheduler import (
-    GreedyThenOldestScheduler,
-    LooseRoundRobinScheduler,
-)
 from repro.simt.scoreboard import Scoreboard
 from repro.workloads import create_workload
 
@@ -74,33 +70,74 @@ def sm_cycle_calls(monkeypatch, cell, core):
 
 
 class TestDeviceSkipGate:
-    """The vector core's device-level skip: a parked SM is passed over in
-    the drive loop instead of having its ``cycle`` called."""
+    """The gated drive loop: a parked SM is passed over instead of having
+    its ``cycle`` called, as the reference loop calls it on every cycle
+    it visits."""
 
-    def test_vector_calls_sm_cycle_a_quarter_as_often_as_fast(
+    def test_fast_calls_sm_cycle_a_quarter_as_often_as_reference(
             self, monkeypatch):
+        reference = sm_cycle_calls(monkeypatch, "bfs", "reference")
         fast = sm_cycle_calls(monkeypatch, "bfs", "fast")
-        vector = sm_cycle_calls(monkeypatch, "bfs", "vector")
-        assert 4 * vector <= fast, (vector, fast)
+        assert 4 * fast <= reference, (fast, reference)
 
 
-class TestOneSchedulingPolicyGate:
-    """Every exact core picks its warps through the scheduler object's
-    ``select``: ``vector`` makes the same picks as ``fast``, not a copy of
-    the policy of its own."""
+class TestParkBeforeScanGate:
+    """At a decision where nothing issued, only the SMs not parked past
+    the next cycle are asked for their next event; the parked SMs'
+    earliest wake stands in for theirs."""
 
-    def select_calls(self, monkeypatch, core):
-        gpu, workload = build_cell("bfs", core)
-        counters = [count_calls(monkeypatch, cls, "select")
-                    for cls in (LooseRoundRobinScheduler,
-                                GreedyThenOldestScheduler)]
+    @pytest.mark.parametrize("cell", ["atlas", "bfs"])
+    def test_asks_only_awake_sms(self, monkeypatch, cell):
+        gpu, workload = build_cell(cell, "fast")
+        asked = [count_calls(monkeypatch, sm, "next_event_time")
+                 for sm in gpu.sms]
+        # (awake SMs, next_event_time calls so far) at each decision;
+        # the awake count is 0 after an issue, which asks no SM.
+        decisions = []
+
+        def deciding(device, issued):
+            later = device.cycle + 1
+            awake = 0 if issued else sum(
+                1 for sm in device.sms
+                if not (later < sm._sm_wake and not sm._reply_entries))
+            decisions.append((awake, sum(count[0] for count in asked)))
+
+        monkeypatch.setattr(GPU, "_clock_check_hook",
+                            staticmethod(deciding))
         run_verified(gpu, workload)
-        return sum(counter[0] for counter in counters)
+        ends = [calls for _, calls in decisions[1:]]
+        ends.append(sum(count[0] for count in asked))
+        for (awake, start), end in zip(decisions, ends):
+            assert end - start <= awake, (awake, end - start)
+        # Parked SMs were there to be passed over.
+        stops = [awake for awake, _ in decisions if awake]
+        assert stops and sum(stops) < len(gpu.sms) * len(stops)
 
-    def test_vector_selects_as_often_as_fast(self, monkeypatch):
-        fast = self.select_calls(monkeypatch, "fast")
-        vector = self.select_calls(monkeypatch, "vector")
-        assert fast > 0 and vector == fast, (vector, fast)
+
+class TestOneLdstWalkGate:
+    """Each SM walks its LD/ST unit at most once between body runs: the
+    walk's visit and quiet horizon are both kept until the next body run,
+    so a decision where nothing issued walks each SM at most once."""
+
+    @pytest.mark.parametrize("cell", ["atlas", "bfs"])
+    def test_walks_each_ldst_once_per_body_run(self, monkeypatch, cell):
+        gpu, workload = build_cell(cell, "fast")
+        since_body = [0] * len(gpu.sms)
+        worst = [0]
+        for sm in gpu.sms:
+            def walking(now, _sm_id=sm.sm_id, _walk=sm.ldst.horizons):
+                since_body[_sm_id] += 1
+                worst[0] = max(worst[0], since_body[_sm_id])
+                return _walk(now)
+
+            def body(now, _sm_id=sm.sm_id, _cycle=sm.cycle):
+                since_body[_sm_id] = 0
+                return _cycle(now)
+
+            monkeypatch.setattr(sm.ldst, "horizons", walking)
+            monkeypatch.setattr(sm, "cycle", body)
+        run_verified(gpu, workload)
+        assert worst[0] == 1, worst[0]
 
 
 class TestIdleFastForwardGate:
@@ -108,7 +145,7 @@ class TestIdleFastForwardGate:
     happen instead of iterating through them."""
 
     def test_bfs_at_8x_dram_latency_skips_most_cycles(self, monkeypatch):
-        gpu, workload = build_cell("bfs", "vector")
+        gpu, workload = build_cell("bfs", "fast")
         iterations = count_calls(monkeypatch, gpu.memory_system, "cycle")
         run_verified(gpu, workload)
         assert 2 * iterations[0] <= gpu.cycle, (iterations[0], gpu.cycle)
@@ -119,11 +156,10 @@ class TestQuietJumpGate:
     the earliest quiet horizon and replays the stall counters in bulk,
     instead of visiting each stalled cycle in turn."""
 
-    @pytest.mark.parametrize("core", ["fast", "vector"])
     @pytest.mark.parametrize("cell,factor", [("atlas", 20), ("bfs", 5)])
     def test_drive_loop_visits_few_stalled_cycles(self, monkeypatch, cell,
-                                                  factor, core):
-        gpu, workload = build_cell(cell, core)
+                                                  factor):
+        gpu, workload = build_cell(cell, "fast")
         iterations = count_calls(monkeypatch, gpu.memory_system, "cycle")
         run_verified(gpu, workload)
         assert factor * iterations[0] <= gpu.cycle, (iterations[0],
@@ -141,7 +177,7 @@ class TestMemoryWakeGate:
     runs, so it would inflate a per-iteration ratio."""
 
     def test_atlas_cell_ticks_the_request_network_rarely(self, monkeypatch):
-        gpu, workload = build_cell("atlas", "vector")
+        gpu, workload = build_cell("atlas", "fast")
         ticks = count_calls(monkeypatch, gpu.memory_system.request_network,
                             "cycle")
         run_verified(gpu, workload)
@@ -153,7 +189,7 @@ class TestMemoryWakeGate:
         # Beyond the walk after each body run (one request_network.cycle
         # each), only SM input marks the visit stale, and the next
         # next_event_time walks again: at most once per cycle with input.
-        gpu, workload = build_cell(cell, "vector")
+        gpu, workload = build_cell(cell, "fast")
         memory = gpu.memory_system
         body_runs = count_calls(monkeypatch, memory.request_network,
                                 "cycle")

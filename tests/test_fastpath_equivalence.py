@@ -1,10 +1,11 @@
 """Golden equivalence tests across the registered simulation cores.
 
 The simulator ships several core backends (see :mod:`repro.simt.backend`):
-the straight-line ``reference`` loop, the event-skipped ``fast`` core,
-and the batch ``vector`` core.  All three are registered *exact* and must
-be **byte-identical** on every result; the ``estimator`` backend is
-registered approximate and must stay inside its documented error bound.
+the straight-line ``reference`` loop and the gated, event-skipped
+``fast`` core (``vector`` is an alias of ``fast``).  Both are registered
+*exact* and must be **byte-identical** on every result; the
+``estimator`` backend is registered approximate and must stay inside
+its documented error bound.
 These tests pin those properties:
 
 * every registered workload, run on a calibrated preset, produces the
@@ -40,10 +41,10 @@ from tests.conftest import make_fast_config
 
 #: Every backend registered exact must hold byte-identity; computed from
 #: the registry so a newly registered exact backend is pinned
-#: automatically.
+#: automatically.  ``vector`` is an alias of ``fast``: no second engine.
 EXACT_CORES = tuple(
     name for name in available_core_backends()
-    if get_core_backend(name).exact
+    if get_core_backend(name).exact and name != "vector"
 )
 
 #: Documented relative cycle error bound for the ``estimator`` backend
@@ -129,7 +130,7 @@ def compare_cores(config, workload_name, params, cores=None):
 class TestExactCoreRegistry:
     def test_exact_core_set(self):
         """The byte-identity class covers exactly the cores we prove."""
-        assert set(EXACT_CORES) == {"reference", "fast", "vector"}
+        assert set(EXACT_CORES) == {"reference", "fast"}
 
     def test_estimator_registered_approximate(self):
         assert not get_core_backend("estimator").exact
@@ -162,7 +163,7 @@ class TestConfigEquivalence:
 
     def test_bfs_at_8x_dram_latency(self):
         """At 8x DRAM latency every queued request's bank is often busy, so
-        the DRAM channels' blocked-cycle skip (fast, vector) must match
+        the DRAM channels' blocked-cycle skip (fast) must match
         the per-cycle scheduler scan (reference)."""
         config = parse_transform("scale_dram_latency:8").apply(
             get_config("gf100"))
@@ -215,18 +216,16 @@ class TestScaledConfigEquivalence:
 
 
 class TestSessionEquivalence:
-    @pytest.mark.parametrize("core",
-                             [core for core in ("reference", "vector")])
-    def test_session_payloads_byte_identical(self, core):
+    def test_session_payloads_byte_identical(self):
         spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
         fast = Session(cache=False).run(spec)
-        other = Session(cache=False, core=core).run(spec)
+        other = Session(cache=False, core="reference").run(spec)
         assert (json.dumps(fast.payload, sort_keys=True)
                 == json.dumps(other.payload, sort_keys=True))
 
     def test_session_core_rewrites_configs(self):
-        session = Session(core="vector")
-        assert session.resolve_config("gf100").core_backend == "vector"
+        session = Session(core="reference")
+        assert session.resolve_config("gf100").core_backend == "reference"
         assert Session().resolve_config("gf100").core_backend == "fast"
 
 
@@ -408,8 +407,7 @@ def check_horizons(now, name, visit, quiet):
 
 
 class TestHorizonContract:
-    @pytest.mark.parametrize("core", ["fast", "vector"])
-    def test_every_clock_decision(self, monkeypatch, core):
+    def test_every_clock_decision(self, monkeypatch):
         """Every component's ``(visit, quiet)`` keeps the contract, and
         the times the GPU reads from caches match a fresh walk.
 
@@ -418,7 +416,7 @@ class TestHorizonContract:
         would corrupt the simulation clock.
         """
         from repro.gpu.gpu import GPU as GPUClass
-        from repro.simt.core import StreamingMultiprocessor
+        from repro.simt.core import FastCore, StreamingMultiprocessor
 
         checked_cycles = []
         polled = []
@@ -453,21 +451,30 @@ class TestHorizonContract:
                 check_horizons(now, name, visit, quiet)
                 polled.append(visit < quiet)
             for sm in gpu.sms:
-                if core == "vector" and not sm._sm_next_stale:
-                    # The device-skip loop's cache: a value in the past
-                    # would stop the clock on an event already gone.
-                    assert sm._sm_next > now, (sm.sm_id, now)
+                assert isinstance(sm, FastCore)
                 fresh = StreamingMultiprocessor.next_event_time(sm, now)
                 assert fresh is None or fresh > now, (sm.sm_id, now)
+                if not sm._sm_next_stale:
+                    # The gated loop's cache: a value in the past would
+                    # stop the clock on an event already gone, and the
+                    # quiet horizon is the one a fresh walk finds.
+                    assert sm._sm_next > now, (sm.sm_id, now)
+                    assert (sm._sm_quiet
+                            == StreamingMultiprocessor._horizons(sm, now)[1]
+                            ), (sm.sm_id, now)
+                if now + 1 < sm._sm_wake and not sm._reply_entries:
+                    # A parked SM's wake stands in for its next event.
+                    assert fresh == (None if sm._sm_wake == math.inf
+                                     else sm._sm_wake), (sm.sm_id, now)
                 assert sm.next_event_time(now) == fresh, (sm.sm_id, now)
             checked_cycles.append(now)
 
         # _clock_check_hook is the dedicated seam: it fires at every
         # clock-advance decision of both cycle loops (the generic one
-        # and the vector backend's device-skip loop).
+        # and the gated loop ``fast`` runs through).
         monkeypatch.setattr(GPUClass, "_clock_check_hook",
                             staticmethod(checked))
-        run_workload(make_fast_config(core_backend=core), "bfs",
+        run_workload(make_fast_config(core_backend="fast"), "bfs",
                      {"num_nodes": 128, "avg_degree": 5, "block_dim": 64,
                       "seed": 17})
         assert checked_cycles

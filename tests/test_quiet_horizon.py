@@ -428,6 +428,17 @@ class TestGpuJump:
         assert workload.verify(gpu)
         assert bool(jumped) is jumps
         assert all(cycles > 0 for cycles in jumped)
-        # The base SM class opts out of the jump by reporting no horizon.
-        opted_out = [sm.quiet_horizon(gpu.cycle) is None for sm in gpu.sms]
-        assert opted_out == [not jumps] * len(gpu.sms)
+        # Only the gated drive loop jumps; the base SM class stays out
+        # of it.
+        assert all(sm.supports_device_skip is jumps for sm in gpu.sms)
+
+    def test_generic_loop_never_sleeps_through_stalls(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the generic drive loop jumped")
+
+        monkeypatch.setattr(GPU, "_sleep_through_stalls", refuse)
+        gpu = GPU(make_fast_config(core_backend="reference"))
+        workload = create_workload("bfs", num_nodes=128, avg_degree=5,
+                                   block_dim=64, seed=5)
+        workload.run(gpu)
+        assert workload.verify(gpu)

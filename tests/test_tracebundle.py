@@ -81,14 +81,14 @@ class TestCorpus:
     def test_corpus_runs_verified_on_both_exact_cores(self):
         for name in bundle_workload_names():
             cycles = {}
-            for core in ("fast", "vector"):
+            for core in ("reference", "fast"):
                 config = get_config("gf106").replace(core_backend=core)
                 gpu = GPU(config)
                 workload = create_workload(name)
                 workload.run(gpu)
                 assert workload.verify(gpu), f"{name} on {core}"
                 cycles[core] = gpu.cycle
-            assert cycles["fast"] == cycles["vector"], name
+            assert cycles["fast"] == cycles["reference"], name
 
 
 class TestLoaderDiagnostics:
