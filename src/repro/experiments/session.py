@@ -208,45 +208,69 @@ class Session:
                  use_cache: bool) -> tuple:
         """Resolve one spec to ``(record, source)``.
 
-        Resolution order: in-memory cache, then the persistent store
-        (rehydrating artifacts so store hits print like fresh runs),
-        then simulation — which always writes through to the store so a
-        later run, or another process, finds the result.
-        ``use_cache=False`` skips both read paths but still writes
-        through: a forced re-run refreshes the store rather than
-        bypassing it.
+        Resolution order: :meth:`lookup` (in-memory cache, then the
+        persistent store), then simulation, whose record :meth:`adopt`
+        writes through to the store so a later run, or another process,
+        finds the result.
+        """
+        record, source = self.lookup(experiment, use_cache)
+        if record is None:
+            runner = {
+                "static": self._run_static,
+                "sweep": self._run_sweep,
+                "dynamic": self._run_dynamic,
+                "scenario": self._run_scenario,
+            }[experiment.kind]
+            record = runner(experiment)
+            self.adopt(experiment, record)
+            source = "simulated"
+        return record, source
+
+    def lookup(self, experiment: Experiment, use_cache: bool = True,
+               store_key=None) -> tuple:
+        """Find ``experiment``'s record without simulating it.
+
+        Returns ``(record, "cache")`` or ``(record, "store")`` on a hit,
+        rehydrating store records' artifacts so they print like fresh
+        runs, and ``(None, None)`` on a miss, which the caller resolves
+        by simulating and passing the record to :meth:`adopt`.
+        ``use_cache=False`` skips both reads (a forced re-run).
+        ``store_key`` spares recomputing a key the caller already holds.
         """
         key = self._cache_key(experiment)
         if self.cache_enabled and use_cache and key in self._cache:
             self.cache_hits += 1
             return self._cache[key], "cache"
         self.cache_misses += 1
-        store_key = None
-        if self.store is not None:
-            store_key = self.store_key(experiment)
-            if use_cache:
-                stored = self.store.get(store_key)
-                if stored is not None:
-                    self.store_hits += 1
-                    record = rehydrate_artifacts(
-                        RunRecord.from_dict(stored))
-                    if self.cache_enabled:
-                        self._cache[key] = record
-                    return record, "store"
-                self.store_misses += 1
-        runner = {
-            "static": self._run_static,
-            "sweep": self._run_sweep,
-            "dynamic": self._run_dynamic,
-            "scenario": self._run_scenario,
-        }[experiment.kind]
-        record = runner(experiment)
+        if self.store is not None and use_cache:
+            stored = self.store.get(store_key
+                                    or self.store_key(experiment))
+            if stored is not None:
+                self.store_hits += 1
+                record = rehydrate_artifacts(RunRecord.from_dict(stored))
+                if self.cache_enabled:
+                    self._cache[key] = record
+                return record, "store"
+            self.store_misses += 1
+        return None, None
+
+    def adopt(self, experiment: Experiment, record: RunRecord,
+              store_key=None) -> None:
+        """Take in a freshly simulated record of ``experiment``.
+
+        Counts the simulation, writes the record through to the store
+        (always, so a forced re-run refreshes it rather than bypassing
+        it) and caches its light form.  Records simulated here, in a
+        :meth:`run_all` worker or in a ``repro serve`` worker all pass
+        through this one step.
+        """
         self.simulated_runs += 1
         if self.store is not None:
-            self.store.put(store_key, record.to_dict())
+            self.store.put(store_key or self.store_key(experiment),
+                           record.to_dict())
         if self.cache_enabled:
-            self._cache[key] = self._cacheable(record)
-        return record, "simulated"
+            self._cache[self._cache_key(experiment)] = \
+                self._cacheable(record)
 
     def run_many(self, experiments: Iterable[Union[Experiment,
                                                    Mapping[str, Any]]],
@@ -359,13 +383,10 @@ class Session:
                 for completed in executor.imap(unique):
                     indices = pending[completed.spec_hash]
                     record = completed.record
-                    self.simulated_runs += 1
                     # Write through before announcing progress, so any
                     # observer of the progress stream (or a crash right
                     # after it) finds the cell durably stored.
-                    if self.store is not None:
-                        self.store.put(self.store_key(specs[indices[0]]),
-                                       record.to_dict())
+                    self.adopt(specs[indices[0]], record)
                     # Counter parity with the serial path: with caching
                     # active, one miss plus a hit per deduplicated
                     # occurrence; with it off, every occurrence would
@@ -375,9 +396,6 @@ class Session:
                         self.cache_hits += len(indices) - 1
                     else:
                         self.cache_misses += len(indices)
-                    if self.cache_enabled:
-                        key = self._cache_key(specs[indices[0]])
-                        self._cache[key] = self._cacheable(record)
                     for index in indices:
                         records_by_index[index] = record
                         done += 1

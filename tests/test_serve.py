@@ -1,13 +1,18 @@
 """Tests for the ``repro serve`` front end.
 
 The request-dedup logic is tested directly on :class:`RequestBroker`
-with a controllable fake session (no sockets, no simulator), then the
-HTTP surface is exercised end to end against a real server on an
-ephemeral port with the real simulator underneath.
+with a controllable fake session (no sockets), then the HTTP surface is
+exercised end to end against a real server on an ephemeral port with
+the real simulator underneath, simulating in the server's worker pool.
+Workloads registered at run time (slow, failing, dying, or meeting at a
+barrier) reach the pool's workers because they are forked.
 """
 
+import contextlib
 import http.client
 import json
+import multiprocessing
+import os
 import socket
 import statistics
 import threading
@@ -18,26 +23,38 @@ import urllib.request
 import pytest
 
 from repro.experiments import Experiment, Session
+from repro.experiments.parallel import default_jobs
+from repro.experiments.smoke import smoke_experiments
 from repro.store import MemoryStore, RequestBroker, ReproServer, StoreKey
 from repro.store import serve as serve_module
-from repro.store.serve import MAX_BODY_BYTES
-from repro.utils.errors import ReproError
+from repro.store.serve import MAX_BODY_BYTES, ServeError
+from repro.utils.errors import ReproError, SimulationError
+from repro.workloads import register_workload, unregister_workload
+from repro.workloads.vecadd import VecAddWorkload
 
 CHEAP_SPEC = {"kind": "dynamic", "configs": ["gf100"],
               "workload": "vecadd", "params": {"n": 96, "buckets": 4}}
 
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(
+    not HAS_FORK, reason="needs fork to see runtime registration")
+
 
 class BlockingSession:
-    """Session stand-in whose run() blocks until released.
+    """Session stand-in whose lookup misses once released.
 
     Exposes just what the broker touches: ``store``, ``store_key``,
-    ``counters`` and ``run``.  Every run waits on ``gate``, so a test can
-    pile concurrent requests onto one in-flight simulation and observe
-    the dedup behaviour deterministically.
+    ``counters``, ``lookup``, ``adopt`` and the worker set-up
+    (``_local_configs``, ``core``).  Every lookup waits on ``gate``, so
+    a test can pile concurrent requests onto one in-flight entry and
+    observe the dedup behaviour deterministically; ``runs`` counts the
+    simulations the broker adopts.
     """
 
     def __init__(self):
         self.store = None
+        self.core = None
+        self._local_configs = {}
         self.gate = threading.Event()
         self.started = threading.Event()
         self.runs = 0
@@ -52,18 +69,70 @@ class BlockingSession:
                     "store_hits": 0, "store_misses": 0,
                     "simulated": self.runs}
 
-    def run(self, experiment):
+    def lookup(self, experiment, use_cache=True, store_key=None):
         self.started.set()
         assert self.gate.wait(timeout=30)
+        return None, None
+
+    def adopt(self, experiment, record, store_key=None):
         with self._lock:
             self.runs += 1
 
-        class FakeRecord:
-            @staticmethod
-            def to_dict():
-                return {"kind": experiment.kind, "runs": None}
 
-        return FakeRecord()
+class SleepyWorkload(VecAddWorkload):
+    """vecadd that first sleeps far past any test budget."""
+
+    name = "sleepy_test"
+
+    def run(self, gpu):
+        time.sleep(60)
+        return super().run(gpu)
+
+
+class FaultyWorkload(VecAddWorkload):
+    """vecadd whose simulation fails the way a runaway kernel does."""
+
+    name = "faulty_test"
+
+    def run(self, gpu):
+        raise SimulationError("kernel exceeded max_cycles")
+
+
+class DyingWorkload(VecAddWorkload):
+    """vecadd whose worker process exits mid-simulation."""
+
+    name = "dying_test"
+
+    def run(self, gpu):
+        os._exit(3)
+
+
+class BarrierWorkload(VecAddWorkload):
+    """vecadd that first waits for a second run at ``barrier``."""
+
+    name = "barrier_test"
+    barrier = None
+
+    def run(self, gpu):
+        self.barrier.wait()
+        return super().run(gpu)
+
+
+@pytest.fixture
+def registered():
+    """Register the test workloads for one test."""
+    classes = (SleepyWorkload, FaultyWorkload, DyingWorkload,
+               BarrierWorkload)
+    for cls in classes:
+        register_workload(cls)
+    yield
+    for cls in classes:
+        unregister_workload(cls.name)
+
+
+def spec_of(workload, **params):
+    return {"kind": "dynamic", "configs": ["gf100"], "workload": workload,
+            "params": {"n": 64, "buckets": 4, **params}}
 
 
 class TestRequestBroker:
@@ -95,19 +164,27 @@ class TestRequestBroker:
         assert broker.counters["simulated"] == 1
         assert broker.counters["in-flight"] == 2
         assert broker._inflight == {}
+        broker.close()
+        assert multiprocessing.active_children() == []
 
-    def test_source_derived_from_counters(self):
+    def test_sources_and_session_counters(self):
         session = Session(store=MemoryStore())
         broker = RequestBroker(session)
-        _record, source, key = broker.run(CHEAP_SPEC)
-        assert source == "simulated"
-        assert key["spec_hash"] == \
-            Experiment.from_dict(CHEAP_SPEC).spec_hash()
-        _record, source, _key = broker.run(CHEAP_SPEC)
-        assert source == "cache"
-        _record, source, _key = broker.run(
-            {"experiment": CHEAP_SPEC})       # wrapped form
-        assert source == "cache"
+        try:
+            _record, source, key = broker.run(CHEAP_SPEC)
+            assert source == "simulated"
+            assert key["spec_hash"] == \
+                Experiment.from_dict(CHEAP_SPEC).spec_hash()
+            _record, source, _key = broker.run(CHEAP_SPEC)
+            assert source == "cache"
+            _record, source, _key = broker.run(
+                {"experiment": CHEAP_SPEC})       # wrapped form
+            assert source == "cache"
+        finally:
+            broker.close()
+        assert session.counters() == {
+            "cache_hits": 2, "cache_misses": 1, "store_hits": 0,
+            "store_misses": 1, "simulated": 1}
         fresh = Session(store=session.store)
         _record, source, _key = RequestBroker(fresh).run(CHEAP_SPEC)
         assert source == "store"
@@ -138,16 +215,25 @@ class TestRequestBroker:
         json.dumps(stats)
 
 
-@pytest.fixture
-def server():
-    instance = ReproServer(("127.0.0.1", 0),
-                           Session(store=MemoryStore()), quiet=True)
+@contextlib.contextmanager
+def serving(session):
+    """A running server over ``session``, closed (workers and all) after."""
+    instance = ReproServer(("127.0.0.1", 0), session, quiet=True)
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    yield instance
-    instance.shutdown()
-    instance.server_close()
-    thread.join(timeout=10)
+    try:
+        yield instance
+    finally:
+        instance.shutdown()
+        instance.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def server():
+    with serving(Session(store=MemoryStore())) as instance:
+        yield instance
 
 
 def _url(server, path):
@@ -179,16 +265,8 @@ class TestHTTP:
     def test_store_shared_across_server_restart(self, server):
         _post(server, CHEAP_SPEC)
         store = server.broker.session.store
-        reborn = ReproServer(("127.0.0.1", 0), Session(store=store),
-                             quiet=True)
-        thread = threading.Thread(target=reborn.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serving(Session(store=store)) as reborn:
             assert _post(reborn, CHEAP_SPEC)["source"] == "store"
-        finally:
-            reborn.shutdown()
-            reborn.server_close()
-            thread.join(timeout=10)
 
     def test_bad_spec_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -283,6 +361,153 @@ class TestHTTP:
         finally:
             connection.close()
         assert statistics.median(latencies) < 0.020
+
+
+def _request(server, payload):
+    """POST ``payload``; returns ``(status, reply)`` whatever the status."""
+    try:
+        return 200, _post(server, payload)
+    except urllib.error.HTTPError as error:
+        return error.code, json.load(error)
+
+
+class ChildCount:
+    """Samples ``multiprocessing.active_children()`` until stopped."""
+
+    def __init__(self):
+        self.peak = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+
+    def _sample(self):
+        while not self._stop.wait(0.005):
+            self.peak = max(self.peak, len(multiprocessing.active_children()))
+
+    def stop(self):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@needs_fork
+@pytest.mark.usefixtures("registered")
+class TestWorkerPool:
+    @pytest.mark.skipif(default_jobs() < 2, reason="needs two CPUs")
+    def test_distinct_specs_simulate_at_once(self, server):
+        """Each run waits at a two-party barrier, so both complete only
+        when two workers simulate at the same time."""
+        BarrierWorkload.barrier = multiprocessing.Barrier(2, timeout=10)
+        specs = [spec_of("barrier_test", n=64), spec_of("barrier_test", n=96)]
+        results = [None, None]
+
+        def request(index):
+            results[index] = _request(server, specs[index])
+
+        threads = [threading.Thread(target=request, args=(index,))
+                   for index in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            BarrierWorkload.barrier = None
+        assert [status for status, _reply in results] == [200, 200], results
+        assert [reply["source"] for _status, reply in results] == [
+            "simulated", "simulated"]
+
+    def test_simulation_error_is_500(self, server):
+        status, reply = _request(server, spec_of("faulty_test"))
+        assert status == 500
+        assert reply["error"] == ("SimulationError: kernel exceeded "
+                                  "max_cycles")
+        assert _request(server, CHEAP_SPEC)[0] == 200
+        assert server.broker.counters["errors"] == 1
+
+    def test_dead_worker_is_500_and_replaced(self, server):
+        status, reply = _request(server, spec_of("dying_test"))
+        assert status == 500
+        assert "exit code 3" in reply["error"]
+        assert _request(server, CHEAP_SPEC)[0] == 200
+
+    def test_over_budget_request_is_504_and_server_keeps_serving(
+            self, monkeypatch):
+        monkeypatch.setattr(serve_module, "REQUEST_BUDGET_S", 1.0)
+        children = ChildCount()
+        try:
+            with serving(Session(store=MemoryStore())) as server:
+                cap = server.broker.pool.size
+                start = time.monotonic()
+                status, reply = _request(server, spec_of("sleepy_test"))
+                elapsed = time.monotonic() - start
+                assert status == 504
+                assert "1 s request budget" in reply["error"]
+                assert elapsed < 1.0 + 10
+                second = _request(server, CHEAP_SPEC)
+                assert second[0] == 200
+                assert second[1]["source"] == "simulated"
+        finally:
+            children.stop()
+        assert 1 <= children.peak <= cap
+        assert multiprocessing.active_children() == []
+
+    def test_parked_requests_share_the_504_and_retry_runs_again(
+            self, monkeypatch):
+        monkeypatch.setattr(serve_module, "REQUEST_BUDGET_S", 1.0)
+        broker = RequestBroker(Session())
+        statuses = []
+
+        def request():
+            try:
+                broker.run(spec_of("sleepy_test"))
+            except ServeError as exc:
+                statuses.append(exc.status)
+
+        try:
+            threads = [threading.Thread(target=request) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert statuses == [504, 504]
+            assert broker._inflight == {}
+            start = time.monotonic()
+            request()
+            assert statuses[-1] == 504
+            assert time.monotonic() - start >= 1.0
+        finally:
+            broker.close()
+        assert broker.counters["requests"] == 3
+        assert broker.counters["errors"] == 3
+        assert multiprocessing.active_children() == []
+
+    def test_server_close_leaves_no_child(self):
+        with serving(Session()) as server:
+            assert _request(server, CHEAP_SPEC)[0] == 200
+            assert len(multiprocessing.active_children()) == 1
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("core", [None, "reference"])
+def test_replies_equal_serial_runs(core, fast_config):
+    """Replies are byte-equal to a serial ``Session.run`` of each spec."""
+    smoke = smoke_experiments()
+    specs = [smoke[("vecadd", "gf100")], smoke[("stencil", "gt200")],
+             Experiment.dynamic("local_fast", "reduction", n=256,
+                                block_dim=64, buckets=4)]
+    serial = Session(configs={"local_fast": fast_config}, core=core)
+    with serving(Session(configs={"local_fast": fast_config},
+                         core=core)) as server:
+        for spec in specs:
+            reply = _request(server, spec.to_dict())
+            assert reply[0] == 200
+            assert reply[1]["source"] == "simulated"
+            assert (json.dumps(reply[1]["record"], sort_keys=True)
+                    == json.dumps(serial.run(spec).to_dict(),
+                                  sort_keys=True))
 
 
 class TestServeCLI:
