@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import socket
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -188,6 +189,47 @@ class TestRequestBroker:
         fresh = Session(store=session.store)
         _record, source, _key = RequestBroker(fresh).run(CHEAP_SPEC)
         assert source == "store"
+
+    def test_concurrent_mixed_requests_keep_counts_exact(self):
+        """Eight threads, four distinct specs, a tiny switch interval:
+        each spec simulates exactly once and no count is lost."""
+        specs = [spec_of("vecadd", n=n) for n in (32, 64, 96, 128)]
+        session = Session(store=MemoryStore())
+        broker = RequestBroker(session)
+        failures = []
+
+        def client(offset):
+            try:
+                for index in range(6):
+                    broker.run(specs[(offset + index) % len(specs)])
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            broker.close()
+        assert failures == []
+        counters = broker.counters
+        assert counters["requests"] == 48
+        assert counters["errors"] == 0
+        assert (counters["cache"] + counters["store"] + counters["simulated"]
+                + counters["in-flight"]) == 48
+        assert counters["simulated"] == len(specs)
+        resolved = session.counters()
+        assert resolved["simulated"] == len(specs)
+        assert (resolved["cache_hits"] + resolved["cache_misses"]
+                == 48 - counters["in-flight"])
+        assert session.store.stats()["entries"] == len(specs)
 
     def test_invalid_spec_raises_repro_error(self):
         broker = RequestBroker(Session())
