@@ -12,12 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.stages import STAGE_ORDER, Stage
+import numpy as np
+
+from repro.core.stages import (NUM_EVENTS, STAGE_ORDER, Event, Stage,
+                               classify_rows, timestamp_row)
 from repro.core.tracker import LatencyTracker, RequestRecord
 from repro.utils.errors import ConfigurationError
 
 #: Number of latency buckets used in the paper's Figure 1.
 DEFAULT_NUM_BUCKETS = 48
+
+_ISSUE = Event.ISSUE.column
+_COMPLETE = Event.COMPLETE.column
 
 
 @dataclass
@@ -154,34 +160,60 @@ def compute_breakdown(
     ``clip_percentile`` bounds the bucket range: the handful of requests
     beyond that latency percentile are folded into the last bucket so that
     rare stragglers do not stretch the axis and flatten the histogram.
+    The records' timestamps are classified as rows, exactly as
+    :func:`breakdown_from_tracker` classifies a tracker's columns.
     """
     allowed = set(spaces)
-    reads = [r for r in records if not r.is_write and r.space in allowed]
-    if not reads:
+    rows = [timestamp_row(record.timestamps) for record in records
+            if not record.is_write and record.space in allowed]
+    return breakdown_from_rows(
+        np.array(rows, dtype=np.int64).reshape(-1, NUM_EVENTS),
+        num_buckets=num_buckets, clip_percentile=clip_percentile)
+
+
+def breakdown_from_rows(
+    rows: np.ndarray,
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    clip_percentile: float = 99.5,
+) -> BreakdownResult:
+    """The Figure 1 breakdown of read-request timestamp rows (an
+    ``(n, NUM_EVENTS)`` int64 array, see :func:`classify_rows`).
+
+    Every row is classified in one NumPy pass.  Bucket indices use the
+    same float arithmetic as a per-request ``int((latency - min) / span
+    * num_buckets)``, and stage sums stay integers, so the result does
+    not depend on how the rows were collected.
+    """
+    if not len(rows):
         return BreakdownResult(buckets=[], total_requests=0,
                                min_latency=0, max_latency=0)
     if not 0 < clip_percentile <= 100:
         raise ConfigurationError("clip_percentile must be in (0, 100]")
-    latencies = sorted(record.latency for record in reads)
-    min_latency = latencies[0]
+    stage_cycles = classify_rows(rows)
+    latency = rows[:, _COMPLETE] - rows[:, _ISSUE]
+    ordered = np.sort(latency)
+    min_latency = int(ordered[0])
     clip_index = min(
-        len(latencies) - 1,
-        int(round(clip_percentile / 100.0 * (len(latencies) - 1))),
+        len(ordered) - 1,
+        int(round(clip_percentile / 100.0 * (len(ordered) - 1))),
     )
-    max_latency = max(latencies[clip_index], min_latency + 1)
+    max_latency = max(int(ordered[clip_index]), min_latency + 1)
     edges = _bucket_edges(min_latency, max_latency, num_buckets)
-    buckets = [LatencyBucket(lower=lo, upper=hi) for lo, hi in edges]
     span = max(max_latency - min_latency, 1)
-    for record in reads:
-        index = int((record.latency - min_latency) / span * num_buckets)
-        index = min(index, num_buckets - 1)
-        bucket = buckets[index]
-        bucket.count += 1
-        for stage, cycles in record.breakdown().items():
-            bucket.stage_cycles[stage] += cycles
+    index = ((latency - min_latency).astype(np.float64) / span
+             * num_buckets).astype(np.int64)
+    np.minimum(index, num_buckets - 1, out=index)
+    counts = np.bincount(index, minlength=num_buckets).tolist()
+    sums = np.zeros((num_buckets, len(STAGE_ORDER)), dtype=np.int64)
+    np.add.at(sums, index, stage_cycles)
+    buckets = []
+    for (lower, upper), count, cycles in zip(edges, counts, sums.tolist()):
+        buckets.append(LatencyBucket(
+            lower=lower, upper=upper, count=count,
+            stage_cycles=dict(zip(STAGE_ORDER, cycles))))
     return BreakdownResult(
         buckets=buckets,
-        total_requests=len(reads),
+        total_requests=len(rows),
         min_latency=min_latency,
         max_latency=max_latency,
     )
@@ -193,6 +225,7 @@ def breakdown_from_tracker(
     spaces: Iterable[str] = ("global", "local"),
     clip_percentile: float = 99.5,
 ) -> BreakdownResult:
-    """Convenience wrapper computing the breakdown straight from a tracker."""
-    return compute_breakdown(tracker.read_requests(), num_buckets=num_buckets,
-                             spaces=spaces, clip_percentile=clip_percentile)
+    """The breakdown straight from a tracker's timestamp columns."""
+    return breakdown_from_rows(tracker.read_rows(spaces),
+                               num_buckets=num_buckets,
+                               clip_percentile=clip_percentile)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from enum import Enum, unique
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 
 @unique
 class Event(Enum):
@@ -73,6 +75,17 @@ STAGE_ORDER: Tuple[Stage, ...] = (
     Stage.FETCH_TO_SM,
 )
 
+# Each event's column in a request's timestamp row is its place in
+# EVENT_ORDER, read as ``event.column`` (an attribute, so the hot paths
+# that record events never hash the enum).  A row holds one cycle per
+# column, -1 where the event was not recorded.
+for _column, _event in enumerate(EVENT_ORDER):
+    _event.column = _column
+del _column, _event
+
+#: Width of a timestamp row (one column per event).
+NUM_EVENTS = len(EVENT_ORDER)
+
 #: Which stage the gap starting at a given event belongs to.  The stage of
 #: the gap "event -> next recorded event" is looked up here; gaps starting
 #: at events not listed (COMPLETE) do not exist.
@@ -88,42 +101,82 @@ _GAP_STAGE: Dict[Event, Stage] = {
     Event.DRAM_DATA: Stage.FETCH_TO_SM,
 }
 
+#: ``_GAP_STAGE`` as an index table: the :data:`STAGE_ORDER` position of
+#: the gap starting at each column but the last.
+_GAP_STAGE_INDEX: Tuple[int, ...] = tuple(
+    STAGE_ORDER.index(_GAP_STAGE[event]) for event in EVENT_ORDER[:-1]
+)
+
+_ISSUE = Event.ISSUE.column
+_L1_ACCESS = Event.L1_ACCESS.column
+_ICNT_INJECT = Event.ICNT_INJECT.column
+_COMPLETE = Event.COMPLETE.column
+_SM_BASE = STAGE_ORDER.index(Stage.SM_BASE)
+
+
+def classify_rows(times):
+    """Per-stage cycles of many request lifetimes at once.
+
+    ``times`` is an ``(n, NUM_EVENTS)`` int64 array of timestamp rows
+    (indexed by ``Event.column``; ``-1`` = not recorded).  Returns an
+    ``(n, len(STAGE_ORDER))`` int64 array whose columns follow
+    :data:`STAGE_ORDER`.  Each recorded event's gap to the next recorded
+    event goes to the stage :data:`_GAP_STAGE` names, with one rule on
+    top, applied as a single mask: a request that never left the SM (no
+    ``ICNT_INJECT``; an L1 hit or a request merged onto an L1 MSHR
+    entry) books the gap after ``L1_ACCESS`` as ``SM_BASE``, matching
+    the paper's reading of Figure 1 where short-latency buckets are
+    "entirely filled with SM base time".
+
+    Raises :class:`ValueError` when a row lacks ``ISSUE`` or
+    ``COMPLETE`` or its recorded times decrease.
+    """
+    times = np.asarray(times, dtype=np.int64).reshape(-1, NUM_EVENTS)
+    if ((times[:, _ISSUE] < 0) | (times[:, _COMPLETE] < 0)).any():
+        raise ValueError("lifetime must contain ISSUE and COMPLETE timestamps")
+    stages = np.zeros((len(times), len(STAGE_ORDER)), dtype=np.int64)
+    left_sm = times[:, _ICNT_INJECT] >= 0
+    following = times[:, _COMPLETE]
+    for column in range(NUM_EVENTS - 2, -1, -1):
+        time = times[:, column]
+        present = time >= 0
+        gap = np.where(present, following - time, 0)
+        if (gap < 0).any():
+            row = int(np.flatnonzero(gap < 0)[0])
+            raise ValueError(
+                f"timestamps not monotonic: {EVENT_ORDER[column]} at "
+                f"{int(time[row])} followed by a later event at "
+                f"{int(following[row])}"
+            )
+        stage = _GAP_STAGE_INDEX[column]
+        if column == _L1_ACCESS:
+            stages[:, stage] += np.where(left_sm, gap, 0)
+            stages[:, _SM_BASE] += np.where(left_sm, 0, gap)
+        else:
+            stages[:, stage] += gap
+        following = np.where(present, time, following)
+    return stages
+
+
+def timestamp_row(timestamps: Dict[Event, int]) -> List[int]:
+    """An event-keyed timestamp mapping as one row (``-1`` = missing)."""
+    row = [-1] * NUM_EVENTS
+    for event, cycle in timestamps.items():
+        row[event.column] = cycle
+    return row
+
 
 def classify_lifetime(timestamps: Dict[Event, int]) -> Dict[Stage, int]:
-    """Break a request lifetime into per-stage cycle counts.
+    """Break one request lifetime into per-stage cycle counts.
 
-    Parameters
-    ----------
-    timestamps:
-        Mapping from recorded :class:`Event` to the cycle it occurred.
-        ``ISSUE`` and ``COMPLETE`` must be present; intermediate events may
-        be missing (e.g. an L1 hit records only ISSUE, L1_ACCESS, COMPLETE).
-
-    Returns
-    -------
-    dict
-        Cycles attributed to each :class:`Stage` (stages not traversed map
-        to 0).  Special case: for requests that never left the SM (L1 hits),
-        the gap following ``L1_ACCESS`` is attributed to ``SM_BASE`` rather
-        than ``L1_TO_ICNT``, matching the paper's reading of Figure 1 where
-        short-latency buckets are "entirely filled with SM base time".
+    The single-request form of :func:`classify_rows`, which holds the
+    rule: ``timestamps`` maps each recorded :class:`Event` to its cycle
+    (``ISSUE`` and ``COMPLETE`` must be present; intermediate events may
+    be missing, e.g. an L1 hit records only ISSUE, L1_ACCESS, COMPLETE),
+    and the result maps every :class:`Stage` to its cycles (0 for stages
+    not traversed).  A request that never left the SM books the gap
+    after ``L1_ACCESS`` as ``SM_BASE``.  The Figure 1 analysis classifies
+    whole columns through :func:`classify_rows` and never calls this.
     """
-    if Event.ISSUE not in timestamps or Event.COMPLETE not in timestamps:
-        raise ValueError("lifetime must contain ISSUE and COMPLETE timestamps")
-    present: List[Tuple[Event, int]] = [
-        (event, timestamps[event]) for event in EVENT_ORDER if event in timestamps
-    ]
-    breakdown: Dict[Stage, int] = {stage: 0 for stage in Stage}
-    left_sm = Event.ICNT_INJECT in timestamps
-    for (event, time), (_next_event, next_time) in zip(present, present[1:]):
-        gap = next_time - time
-        if gap < 0:
-            raise ValueError(
-                f"timestamps not monotonic: {event} at {time} followed by "
-                f"{_next_event} at {next_time}"
-            )
-        stage = _GAP_STAGE[event]
-        if event is Event.L1_ACCESS and not left_sm:
-            stage = Stage.SM_BASE
-        breakdown[stage] += gap
-    return breakdown
+    return dict(zip(STAGE_ORDER,
+                    classify_rows([timestamp_row(timestamps)])[0].tolist()))

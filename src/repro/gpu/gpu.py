@@ -202,6 +202,7 @@ class GPU:
         self._streams: Dict[int, Deque[LaunchHandle]] = {}
         self._active: List[LaunchHandle] = []
         self._streams_dirty = True
+        self._cta_retired = False
         self._unreported: List[LaunchHandle] = []
         self._attributing = False
 
@@ -445,20 +446,25 @@ class GPU:
         """Gated variant of the cycle loop (``fast`` and its kin).
 
         Mirrors each SM's cached wake time (``sm._sm_wake``) in a local
-        array so a fully parked SM costs one comparison and one deque
+        array so a parked SM costs one comparison and one deque
         truthiness test per cycle — no method call, no per-cycle stats
-        increment.  A skipped quiescent cycle's only observable effect
-        is the per-scheduler issue-idle counters; those are accumulated
-        per SM (``pending``) together with the attribution target
-        resident at the start of the skip window (constant throughout
-        it: retirement happens only inside the body and CTA dispatch
-        resyncs the wake mirror) and flushed in one batched increment
-        before the next body run — float counter sums of integer
-        amounts are exact, so totals stay byte-identical to the
-        per-cycle loop.  The clock moves through :meth:`_advance_clock`
-        as in the generic loop, which asks only the SMs that are not
-        parked for their next event and quiet horizon; the parked ones
-        are credited the jumped cycles in ``pending`` too.
+        increment.  An SM parks until its quiet horizon: each skipped
+        cycle would only bump the per-scheduler issue-idle counters and
+        the LD/ST stall counters its last walk reported (see
+        ``FastCore.quiet_horizon``).  Those are accumulated per SM
+        (``pending``) together with the attribution target resident at
+        the start of the skip window (constant throughout it:
+        retirement happens only inside the body and CTA dispatch resyncs
+        the wake mirror) and replayed in one batch before the next body
+        run — float counter sums of integer amounts are exact, so totals
+        stay byte-identical to the per-cycle loop.  Two inputs end a park
+        early: a memory reply (``sm._reply_entries``), and a freed
+        request-network credit the SM registered for, which the memory
+        body reports in ``memory.credit_woken`` before the SMs run.  The
+        clock moves through :meth:`_advance_clock` as in the generic
+        loop, which asks only the SMs that are not parked for their next
+        event and quiet horizon; the parked ones are credited the jumped
+        cycles in ``pending`` too.
         """
         sms = self.sms
         num_sms = len(sms)
@@ -468,8 +474,8 @@ class GPU:
         # dispatch (launch_cta resets the SM's own wake to 0).
         wake: List[float] = [sm._sm_wake for sm in sms]
         replies = [sm._reply_entries for sm in sms]
-        idle_slots = [sm._slot_idle for sm in sms]
-        idle_widths = [sm._num_schedulers for sm in sms]
+        credit_woken = memory.credit_woken
+        credit_woken.clear()
         pending = [0] * num_sms
         pending_launch: List[Optional[int]] = [None] * num_sms
 
@@ -478,37 +484,44 @@ class GPU:
             pending[index] = 0
             if attribute:
                 _ATTRIBUTION[0] = pending_launch[index]
-                sms[index].stats.inc(idle_slots[index],
-                                     idle_widths[index] * count)
+                sms[index].replay_stalls(count)
                 _ATTRIBUTION[0] = None
             else:
-                sms[index].stats.inc(idle_slots[index],
-                                     idle_widths[index] * count)
+                sms[index].replay_stalls(count)
 
         parked: List[int] = []
 
         def park(later: int) -> Tuple[List[StreamingMultiprocessor],
-                                      float]:
-            # An SM gated past the next cycle has its wake as its next
-            # event and stays gated through any jump that ends by it;
-            # the rest must each report both.
+                                      float, bool]:
+            # An SM gated past the next cycle stays gated through any
+            # jump that ends by its wake; its next event is the wake, or
+            # the next cycle while it polls.  The rest must each report
+            # both.
             parked.clear()
             awake = []
             bound = math.inf
+            polls = False
             for index in sm_range:
                 if later < wake[index] and not replies[index]:
                     parked.append(index)
                     if wake[index] < bound:
                         bound = wake[index]
+                    if sms[index]._sm_next < wake[index]:
+                        polls = True
                 else:
                     awake.append(sms[index])
-            return awake, bound
+            return awake, bound, polls
 
         self._streams_dirty = False  # _drive just ran activation
+        self._cta_retired = False  # ... and dispatch
         try:
             while True:
                 now = self.cycle
                 memory.cycle(now)
+                if credit_woken:
+                    for index in credit_woken:
+                        wake[index] = now
+                    credit_woken.clear()
                 issued = False
                 for index in sm_range:
                     if now < wake[index] and not replies[index]:
@@ -532,15 +545,18 @@ class GPU:
                         issued = sm.cycle(now) or issued
                     wake[index] = sm._sm_wake
                 # Stream activation only changes state after a launch
-                # retires (flagged by _on_cta_retired); submissions
+                # retires, and an SM can only take another CTA after one
+                # retires (both flagged by _on_cta_retired); submissions
                 # cannot arrive mid-drive.
                 if self._streams_dirty:
                     self._streams_dirty = False
                     self._activate_streams()
-                if any(handle.pending_ctas for handle in self._active):
-                    self._dispatch_ctas()
-                    for index in sm_range:
-                        wake[index] = sms[index]._sm_wake
+                if self._cta_retired:
+                    self._cta_retired = False
+                    if any(handle.pending_ctas for handle in self._active):
+                        self._dispatch_ctas()
+                        for index in sm_range:
+                            wake[index] = sms[index]._sm_wake
                 if self._all_idle():
                     break
                 self._check_limits()
@@ -621,6 +637,7 @@ class GPU:
 
     def _on_cta_retired(self, context: CTAContext) -> None:
         """SM callback: one CTA of ``context.launch`` left its SM."""
+        self._cta_retired = True
         launch_id = context.launch.launch_id
         for handle in self._active:
             if handle.launch_id != launch_id:
@@ -663,19 +680,22 @@ class GPU:
     def _advance_clock(
             self, issued: bool,
             park: Optional[Callable[[int], Tuple[
-                List[StreamingMultiprocessor], float]]] = None) -> int:
+                List[StreamingMultiprocessor], float, bool]]] = None) -> int:
         """Move the clock on from a visited cycle: the one clock-advance
         decision of both cycle loops.
 
         After an issue the clock moves to the next cycle.  Otherwise it
         moves to the earliest event the memory system or any SM
         reports.  The gated loop passes ``park``: given ``now + 1``, it
-        picks the SMs not parked past it and the earliest wake of the
-        parked ones, which stands in for their events.  Only those SMs
-        are asked, and when the earliest event is the next cycle
+        picks the SMs not parked past it, the earliest wake of the
+        parked ones, and whether any parked one polls.  The wakes stand
+        in for the parked SMs' events (a poll for ``now + 1``), and only
+        the other SMs are asked, unless the earliest event is already
+        the next cycle; a memory body due next cycle settles it before
+        ``park`` runs.  When the earliest event is the next cycle
         (something polls), :meth:`_sleep_through_stalls` may jump the
-        clock further; the caller replays the idle cycles of the parked
-        SMs.  Returns the number of stalled cycles jumped over (0
+        clock further; the caller replays the stalled cycles of the
+        parked SMs.  Returns the number of stalled cycles jumped over (0
         without a jump).
         """
         hook = type(self)._clock_check_hook
@@ -686,15 +706,26 @@ class GPU:
         if issued:
             self.cycle = later
             return 0
-        sms, bound = (self.sms, math.inf) if park is None else park(later)
-        best = self.memory_system.next_event_time(now)
-        # A parked SM's wake is its next event (FastCore caches both).
-        if best is None or bound < best:
+        memory = self.memory_system
+        best = memory.next_event_time(now)
+        if park is None:
+            sms, bound, polls = self.sms, math.inf, False
+        elif memory.quiet_horizon(now) <= later:
+            # The memory body runs next cycle, whatever else reports.
+            self.cycle = later
+            return 0
+        else:
+            sms, bound, polls = park(later)
+        if polls:
+            best = later
+        elif best is None or bound < best:
             best = None if bound == math.inf else int(bound)
-        for sm in sms:
-            event_time = sm.next_event_time(now)
-            if event_time is not None and (best is None or event_time < best):
-                best = event_time
+        if best != later:
+            for sm in sms:
+                event_time = sm.next_event_time(now)
+                if event_time is not None and (best is None
+                                               or event_time < best):
+                    best = event_time
         if best is None:
             raise SimulationError(
                 "simulation deadlock: nothing issued and no pending events"

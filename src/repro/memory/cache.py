@@ -94,6 +94,12 @@ class SetAssociativeCache:
         # least recently used line, the last element the most recently used.
         self._sets: List[List[int]] = [[] for _ in range(geometry.num_sets)]
         self.stats = StatCounters(prefix=geometry.name)
+        stats = self.stats
+        self._s_hits = stats.slot("hits")
+        self._s_misses = stats.slot("misses")
+        self._s_evictions = stats.slot("evictions")
+        self._s_fills = stats.slot("fills")
+        self._s_invalidations = stats.slot("invalidations")
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -123,9 +129,9 @@ class SetAssociativeCache:
         if line in ways:
             ways.remove(line)
             ways.append(line)
-            self.stats.add("hits")
+            self.stats.inc(self._s_hits)
             return True
-        self.stats.add("misses")
+        self.stats.inc(self._s_misses)
         return False
 
     def fill(self, address: int) -> Optional[int]:
@@ -144,9 +150,9 @@ class SetAssociativeCache:
         victim = None
         if len(ways) >= self.geometry.associativity:
             victim = ways.pop(0)
-            self.stats.add("evictions")
+            self.stats.inc(self._s_evictions)
         ways.append(line)
-        self.stats.add("fills")
+        self.stats.inc(self._s_fills)
         return victim
 
     def invalidate(self, address: int) -> bool:
@@ -155,7 +161,7 @@ class SetAssociativeCache:
         ways = self._sets[self.set_index(address)]
         if line in ways:
             ways.remove(line)
-            self.stats.add("invalidations")
+            self.stats.inc(self._s_invalidations)
             return True
         return False
 

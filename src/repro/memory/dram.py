@@ -54,6 +54,11 @@ from repro.memory.request import MemoryRequest
 from repro.utils.errors import ConfigurationError
 from repro.utils.stats import StatCounters
 
+#: Lifetime events recorded here, looked up once.
+_DRAM_Q_ARRIVE = Event.DRAM_Q_ARRIVE
+_DRAM_DATA = Event.DRAM_DATA
+_DRAM_SCHEDULED = Event.DRAM_SCHEDULED
+
 
 @dataclass(frozen=True)
 class DRAMTiming:
@@ -265,6 +270,7 @@ class DramChannel:
         self._s_row_closed = stats.slot("row_closed")
         self._s_row_conflicts = stats.slot("row_conflicts")
         self._s_queue_wait = stats.slot("queue_wait_cycles")
+        self._s_writes_completed = stats.slot("writes_completed")
 
     # ------------------------------------------------------------------
     # Queue interface (used by the L2 slice / partition)
@@ -277,7 +283,7 @@ class DramChannel:
         """Place ``request`` into the scheduler queue."""
         if not self.can_accept():
             raise RuntimeError(f"dram{self.partition_id}: enqueue into full queue")
-        self.tracker.record_event(request, Event.DRAM_Q_ARRIVE, now)
+        self.tracker.record_event(request, _DRAM_Q_ARRIVE, now)
         bank = self.mapping.bank_of(request.address)
         row = self.mapping.row_of(request.address)
         self._queue.append((now, next(self._sequence), request, bank, row))
@@ -316,10 +322,10 @@ class DramChannel:
         while self._in_service and self._in_service[0][0] <= now:
             finish, _, request = heapq.heappop(self._in_service)
             if request.is_read:
-                self.tracker.record_event(request, Event.DRAM_DATA, finish)
+                self.tracker.record_event(request, _DRAM_DATA, finish)
                 self._completed_reads.append(request)
             else:
-                self.stats.add("writes_completed")
+                self.stats.inc(self._s_writes_completed)
         if not self._queue:
             return
         if now < self._blocked_until:
@@ -348,7 +354,7 @@ class DramChannel:
         bank.busy_until = burst_done
         self._blocked_until = 0
         response_time = burst_done + self.timing.service_pad
-        self.tracker.record_event(request, Event.DRAM_SCHEDULED, now)
+        self.tracker.record_event(request, _DRAM_SCHEDULED, now)
         heapq.heappush(
             self._in_service, (response_time, next(self._sequence), request)
         )

@@ -83,9 +83,13 @@ class Interconnect:
         # The outputs' raw deques, for the per-cycle emptiness polls.
         self._output_entries = [output.raw() for output in self._outputs]
         self._sequence = itertools.count()
-        self._in_flight_count = 0
+        # Earliest arrival among the in-flight heads (``inf`` with none):
+        # :meth:`cycle` has nothing to move or count before it.
+        self._due = math.inf
         self.stats = StatCounters(prefix=name)
         self._s_blocked = self.stats.slot("output_blocked_cycles")
+        self._s_injected = self.stats.slot("injected")
+        self._s_delivered = self.stats.slot("delivered")
 
     # ------------------------------------------------------------------
     # Injection (source side)
@@ -117,16 +121,18 @@ class Interconnect:
             self._in_flight[destination],
             (arrival, next(self._sequence), payload),
         )
-        self._in_flight_count += 1
-        self.stats.add("injected")
+        if arrival < self._due:
+            self._due = arrival
+        self.stats.inc(self._s_injected)
 
     # ------------------------------------------------------------------
     # Delivery (destination side)
     # ------------------------------------------------------------------
     def cycle(self, now: int) -> None:
         """Move arrived packets into destination output queues."""
-        if not self._in_flight_count:
+        if now < self._due:
             return
+        due = math.inf
         for destination in range(self.num_destinations):
             heap = self._in_flight[destination]
             if not heap:
@@ -140,12 +146,16 @@ class Interconnect:
                 and not output.full()
             ):
                 _, _, payload = heapq.heappop(heap)
-                self._in_flight_count -= 1
                 output.push(payload)
                 accepted += 1
-                self.stats.add("delivered")
-            if heap and heap[0][0] <= now and output.full():
-                self.stats.inc(self._s_blocked)
+                self.stats.inc(self._s_delivered)
+            if heap:
+                arrival = heap[0][0]
+                if arrival <= now and output.full():
+                    self.stats.inc(self._s_blocked)
+                if arrival < due:
+                    due = arrival
+        self._due = due
 
     def has_output(self, destination: int) -> bool:
         """Whether a delivered packet is waiting at ``destination``."""
@@ -193,8 +203,9 @@ class Interconnect:
         waits at an output for its consumer, and *quiet* otherwise.
         """
         later = now + 1
-        quiet = math.inf
-        if self._in_flight_count:
+        quiet = self._due
+        if quiet <= later:
+            quiet = math.inf
             for destination, heap in enumerate(self._in_flight):
                 if not heap:
                     continue

@@ -27,6 +27,10 @@ from repro.utils.errors import ConfigurationError
 from repro.utils.queues import BoundedQueue
 from repro.utils.stats import StatCounters
 
+#: Lifetime events recorded here, looked up once.
+_L2Q_ARRIVE = Event.L2Q_ARRIVE
+_L2_DATA = Event.L2_DATA
+
 
 @dataclass(frozen=True)
 class L2SliceConfig:
@@ -90,6 +94,15 @@ class L2Slice:
         self._pending_hits: List[tuple] = []
         self._sequence = itertools.count()
         self.stats = StatCounters(prefix=f"l2slice{partition_id}")
+        stats = self.stats
+        self._s_writes = stats.slot("writes")
+        self._s_mshr_merges = stats.slot("mshr_merges")
+        self._s_fills = stats.slot("fills")
+        self._s_cache_misses = self.cache.stats.slot("misses")
+        self._s_write_stall = stats.slot("write_stall_cycles")
+        self._s_merge_stall = stats.slot("mshr_merge_stall_cycles")
+        self._s_mshr_full_stall = stats.slot("mshr_full_stall_cycles")
+        self._s_dram_queue_stall = stats.slot("dram_queue_stall_cycles")
 
     # ------------------------------------------------------------------
     # Input side
@@ -100,7 +113,7 @@ class L2Slice:
 
     def push_request(self, request: MemoryRequest, now: int) -> None:
         """Enter ``request`` into the slice's input queue."""
-        self.tracker.record_event(request, Event.L2Q_ARRIVE, now)
+        self.tracker.record_event(request, _L2Q_ARRIVE, now)
         self.request_queue.push(request)
 
     # ------------------------------------------------------------------
@@ -117,20 +130,20 @@ class L2Slice:
             and not return_queue.full()
         ):
             ready, _, request = heapq.heappop(self._pending_hits)
-            self.tracker.record_event(request, Event.L2_DATA, ready)
+            self.tracker.record_event(request, _L2_DATA, ready)
             return_queue.push(request)
         request = self.request_queue.peek()
         if request is None:
             return
         stall = self._head_stall(request, dram)
         if stall is not None:
-            self.stats.add(stall)
+            self.stats.inc(stall)
             return
         self.request_queue.pop()
         if request.is_write:
             if self.cache.probe(request.address):
                 self.cache.access(request.address)
-            self.stats.add("writes")
+            self.stats.inc(self._s_writes)
             dram.enqueue(request, now)
             return
         if self.cache.probe(request.address):
@@ -141,18 +154,18 @@ class L2Slice:
                 (now + self.config.hit_latency, next(self._sequence), request),
             )
             return
-        self.cache.stats.add("misses")
+        self.cache.stats.inc(self._s_cache_misses)
         line = self.cache.line_address(request.address)
         if self.mshr.lookup(line) is not None:
             self.mshr.merge(line, request)
-            self.stats.add("mshr_merges")
+            self.stats.inc(self._s_mshr_merges)
             return
         self.mshr.allocate(line, request)
         dram.enqueue(request, now)
 
     def _head_stall(self, request: MemoryRequest,
-                    dram: DramChannel) -> Optional[str]:
-        """The stall counter :meth:`cycle` bumps instead of moving head
+                    dram: DramChannel) -> Optional[int]:
+        """The stall counter slot :meth:`cycle` bumps instead of moving head
         ``request`` on, or ``None`` when the request moves.
 
         A write waits for room in the DRAM queue; a read hit always
@@ -160,16 +173,16 @@ class L2Slice:
         entry, or room in the DRAM queue, in that order.
         """
         if request.is_write:
-            return None if dram.can_accept() else "write_stall_cycles"
+            return None if dram.can_accept() else self._s_write_stall
         if self.cache.probe(request.address):
             return None
         line = self.cache.line_address(request.address)
         if self.mshr.lookup(line) is not None:
             return (None if self.mshr.can_merge(line)
-                    else "mshr_merge_stall_cycles")
+                    else self._s_merge_stall)
         if self.mshr.full():
-            return "mshr_full_stall_cycles"
-        return None if dram.can_accept() else "dram_queue_stall_cycles"
+            return self._s_mshr_full_stall
+        return None if dram.can_accept() else self._s_dram_queue_stall
 
     # ------------------------------------------------------------------
     # Fill path
@@ -179,7 +192,7 @@ class L2Slice:
         line = self.cache.line_address(request.address)
         self.cache.fill(line)
         entry = self.mshr.release(line)
-        self.stats.add("fills")
+        self.stats.inc(self._s_fills)
         return [entry.primary] + list(entry.merged)
 
     def horizons(self, now: int, dram: DramChannel,
@@ -212,7 +225,7 @@ class L2Slice:
         stall = self._head_stall(request, dram)
         if stall is None:
             return later, later
-        stalls.append((self.stats, self.stats.slot(stall)))
+        stalls.append((self.stats, stall))
         return later, quiet
 
     def outstanding_misses(self) -> int:

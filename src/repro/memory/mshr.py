@@ -51,6 +51,9 @@ class MSHRTable:
         self.max_merged = max_merged
         self._entries: Dict[int, MSHREntry] = {}
         self.stats = StatCounters(prefix=name)
+        self._s_allocations = self.stats.slot("allocations")
+        self._s_merges = self.stats.slot("merges")
+        self._s_releases = self.stats.slot("releases")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,7 +81,7 @@ class MSHRTable:
             raise SimulationError("allocate on a full MSHR table")
         entry = MSHREntry(line_address=line_address, primary=request)
         self._entries[line_address] = entry
-        self.stats.add("allocations")
+        self.stats.inc(self._s_allocations)
         return entry
 
     def merge(self, line_address: int, request: MemoryRequest) -> MSHREntry:
@@ -90,7 +93,7 @@ class MSHRTable:
             raise SimulationError("merge onto a full MSHR entry")
         entry.merged.append(request)
         entry.primary.merged.append(request)
-        self.stats.add("merges")
+        self.stats.inc(self._s_merges)
         return entry
 
     def release(self, line_address: int) -> MSHREntry:
@@ -98,7 +101,7 @@ class MSHRTable:
         entry = self._entries.pop(line_address, None)
         if entry is None:
             raise SimulationError(f"release of unknown MSHR line {line_address:#x}")
-        self.stats.add("releases")
+        self.stats.inc(self._s_releases)
         return entry
 
     def outstanding_lines(self) -> List[int]:

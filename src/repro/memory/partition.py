@@ -24,6 +24,10 @@ from repro.utils.errors import ConfigurationError
 from repro.utils.queues import BoundedQueue
 from repro.utils.stats import StatCounters
 
+#: Lifetime events recorded here, looked up once.
+_ROP_ARRIVE = Event.ROP_ARRIVE
+_L2Q_ARRIVE = Event.L2Q_ARRIVE
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -91,6 +95,9 @@ class MemoryPartition:
         )
         self._fill_overflow: Deque[MemoryRequest] = deque()
         self.stats = StatCounters(prefix=f"partition{partition_id}")
+        self._s_accepted = self.stats.slot("requests_accepted")
+        self._s_l2_queue_stall = self.stats.slot("l2_queue_stall_cycles")
+        self._s_dram_queue_stall = self.stats.slot("dram_queue_stall_cycles")
 
     # ------------------------------------------------------------------
     # Interconnect-facing input
@@ -103,9 +110,9 @@ class MemoryPartition:
         """Take a request delivered by the interconnect into the ROP queue."""
         if not self.can_accept():
             raise RuntimeError(f"partition {self.partition_id}: ROP queue full")
-        self.tracker.record_event(request, Event.ROP_ARRIVE, now)
+        self.tracker.record_event(request, _ROP_ARRIVE, now)
         self._rop_queue.append((now + self.config.rop_latency, request))
-        self.stats.add("requests_accepted")
+        self.stats.inc(self._s_accepted)
 
     # ------------------------------------------------------------------
     # Per-cycle processing
@@ -151,22 +158,22 @@ class MemoryPartition:
         while self._rop_queue and self._rop_queue[0][0] <= now:
             stall = self._rop_stall()
             if stall is not None:
-                self.stats.add(stall)
+                self.stats.inc(stall)
                 return
             _, request = self._rop_queue.popleft()
             if self.l2 is not None:
                 self.l2.push_request(request, now)
             else:
-                self.tracker.record_event(request, Event.L2Q_ARRIVE, now)
+                self.tracker.record_event(request, _L2Q_ARRIVE, now)
                 self.dram.enqueue(request, now)
 
-    def _rop_stall(self) -> Optional[str]:
-        """The stall counter a ready ROP head bumps instead of entering
+    def _rop_stall(self) -> Optional[int]:
+        """The stall counter slot a ready ROP head bumps instead of entering
         the L2 queue (or, without an L2, the DRAM queue) when that queue
         is full; ``None`` when it enters."""
         if self.l2 is not None:
-            return None if self.l2.can_accept() else "l2_queue_stall_cycles"
-        return None if self.dram.can_accept() else "dram_queue_stall_cycles"
+            return None if self.l2.can_accept() else self._s_l2_queue_stall
+        return None if self.dram.can_accept() else self._s_dram_queue_stall
 
     # ------------------------------------------------------------------
     # Introspection
@@ -227,7 +234,7 @@ class MemoryPartition:
                 stall = self._rop_stall()
                 if stall is None:
                     return later, later
-                stalls.append((self.stats, self.stats.slot(stall)))
+                stalls.append((self.stats, stall))
                 visit = later
         if self.return_queue or self._fill_overflow:
             visit = later

@@ -2,7 +2,8 @@
 
 A :class:`MemoryRequest` represents one line-sized access travelling through
 the global/local memory pipeline: L1 → miss queue → interconnect → ROP →
-L2 → DRAM and back.  Requests carry their own timestamp dictionary which the
+L2 → DRAM and back.  Requests carry their own timestamp row (one cycle per
+:class:`~repro.core.stages.Event` column, ``-1`` until recorded) which the
 :class:`~repro.core.tracker.LatencyTracker` fills in as they move between
 stages.
 """
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.stages import Event
+from repro.core.stages import EVENT_ORDER, NUM_EVENTS, Event
 from repro.isa.opcodes import MemSpace
 
 _request_ids = itertools.count()
@@ -47,6 +48,9 @@ class MemoryRequest:
     load_token:
         Opaque handle used by the LD/ST unit to detect when all requests of
         a warp-level load have completed; ``None`` for stores.
+    times:
+        Timestamp row: the cycle of each recorded event at its
+        ``Event.column``, ``-1`` for events not (yet) recorded.
     merged:
         Requests to the same line that were merged into this one at an MSHR
         and therefore never travelled downstream themselves.
@@ -62,7 +66,7 @@ class MemoryRequest:
     tracked: bool = True
     load_token: Optional[object] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))
-    timestamps: Dict[Event, int] = field(default_factory=dict)
+    times: List[int] = field(default_factory=lambda: [-1] * NUM_EVENTS)
     merged: List["MemoryRequest"] = field(default_factory=list)
     partition: int = -1
     l1_hit: bool = False
@@ -78,6 +82,13 @@ class MemoryRequest:
     def is_read(self) -> bool:
         """Whether this request fetches data (as opposed to writing it)."""
         return not self.is_write
+
+    @property
+    def timestamps(self) -> Dict[Event, int]:
+        """The recorded events and their cycles, as a fresh mapping (the
+        tracker writes :attr:`times`)."""
+        return {event: cycle for event, cycle in zip(EVENT_ORDER, self.times)
+                if cycle >= 0}
 
     def line_address(self, line_size: int) -> int:
         """Address aligned down to ``line_size``."""

@@ -8,7 +8,8 @@ The :class:`MemorySystem` is the single object SMs talk to:
   component of Figure 1),
 * :meth:`pop_response` — collect responses that have travelled back to an
   SM through the reply network,
-* :meth:`cycle` — advance every partition and both networks by one cycle.
+* :meth:`cycle` — advance both networks and the partitions that are due
+  by one cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from repro.memory.request import MemoryRequest
 from repro.utils.errors import ConfigurationError
 from repro.utils.stats import _ATTRIBUTION, StatCounters
 
+#: Lifetime events recorded here, looked up once.
+_ICNT_INJECT = Event.ICNT_INJECT
+
 
 #: Sentinel wake-up time for a fully quiescent memory system.
 _NEVER = float("inf")
@@ -38,29 +42,48 @@ def _owner(request: MemoryRequest) -> Optional[int]:
 class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
-    Unless constructed with ``reference_memory=True``, :meth:`cycle` skips
-    its body entirely while the system is quiescent.  After every
-    processed cycle one walk (:meth:`_walk`) asks each component for its
-    ``horizons`` and caches two times: the *visit* (the cycle the
-    reference engine visits next, served by :meth:`next_event_time`)
-    and the *quiet horizon* (the earliest cycle any component can change
-    state without SM input), which gates the body and is served by
-    :meth:`quiet_horizon`.  Calls before the horizon return at once.
-    :meth:`try_inject` and :meth:`pop_response` pull the gate in to the
-    next cycle and mark the visit stale, so input from the SMs is never
-    missed; the next :meth:`next_event_time` walks again for it.  A
-    skipped body run before the horizon is provably a no-op — every
-    component's per-cycle handler neither mutates state nor touches a
-    stat counter, except for the stall counters the walk reported — so
-    the fast and reference paths produce byte-identical results.
+    With ``reference_memory=True`` :meth:`cycle` ticks both networks and
+    every partition on every call: the per-cycle oracle.  Otherwise each
+    component is ticked only when it is due, and the body as a whole is
+    skipped while nothing is.
 
-    Those stalls are how the body sleeps while something polls (the
-    visit is ``now + 1``) but nothing can move before a later horizon:
-    each body run before it would only bump the same stall counters.
-    The body counts the calls it skips and credits those counters in
-    bulk at its next body run or stats read (:meth:`_credit_stalls`);
-    the GPU adds the cycles it jumps over (:meth:`replay_stalls`).  The
-    flag also reaches each partition's DRAM channel, which then scans
+    *Per-component wakes.*  After a component is ticked (or takes
+    input), its ``horizons`` give its *visit* (the cycle the reference
+    engine visits it next) and its *quiet horizon* (the earliest cycle
+    it can change state on its own), plus the stall counters each tick
+    before that horizon bumps.  A partition is walked right after each
+    tick, and after a return-queue hand-off, its only input besides a
+    delivered request; the result is cached until then.  The body ticks
+    a partition only when its wake (the cached quiet horizon) has come
+    or when the request network delivers to it.  A tick skipped before
+    the horizon is provably a no-op apart from those stall counters, so
+    the partition credits them in bulk at its next tick or stats read:
+    one per body-run slot since its last walk, counted in ``_calls``
+    (each :meth:`cycle` call and each cycle :meth:`replay_stalls` jumps
+    over).  The networks are ticked and walked on every body run and
+    credit their stalls the same way.
+
+    *The body gate.*  One walk (:meth:`_refresh`) after each body run
+    combines the cached partition results with fresh network horizons:
+    the memory system's visit, served by :meth:`next_event_time`, and
+    its quiet horizon, which gates the body and is served by
+    :meth:`quiet_horizon`.  Calls before it return at once.
+    :meth:`try_inject` and :meth:`pop_response` pull the gate in to the
+    next cycle and mark the visit stale; the next :meth:`next_event_time`
+    walks again, and that walk's quiet horizon gates the body in turn,
+    since SM input changes the networks only.  The memory system adds
+    the hand-offs between components to the walk: a partition taking a
+    delivered request, and a return queue head entering the reply
+    network, each make the body due next cycle.
+
+    *The inject-credit wake.*  A gated SM that parks on a miss-queue head
+    ``try_inject`` refused registers with :meth:`wait_for_credit`.  When
+    the body frees a request-network credit towards that partition (a
+    partition takes a delivered request), the SM's id is appended to
+    :attr:`credit_woken`, and the GPU's gated drive loop runs the SM on
+    the same cycle, as the reference engine would.
+
+    The flag also reaches each partition's DRAM channel, which then scans
     its scheduler queue every cycle instead of skipping cycles it knows
     are blocked.
     """
@@ -98,18 +121,40 @@ class MemorySystem:
             config=icnt_config,
             name="icnt_rep",
         )
+        # Raw deques polled on every body run: requests delivered to
+        # each partition, and each partition's responses.
+        self._delivered = [self.request_network.output_raw(pid)
+                           for pid in range(mapping.num_partitions)]
+        self._returning = [partition.return_queue.raw()
+                           for partition in self.partitions]
         self.stats = StatCounters(prefix="memsys")
         self.reference_memory = reference_memory
         # The last walk's result.  ``_wake`` gates the body: the quiet
         # horizon, pulled in by SM input.  ``_visit`` is ``None`` once SM
-        # input has made it stale.  The body polls through ``_wake``,
-        # each skipped call bumping the ``(stats, slot)`` counters in
-        # ``_stalls``; ``_skipped`` counts the calls not yet credited.
+        # input has made it stale.
         self._wake: float = 0
         self._visit: Optional[float] = None
-        self._stalls: Sequence[Tuple[StatCounters, int]] = ()
-        self._skipped = 0
+        # Body-run slots so far, and the slot each component was last
+        # walked in: the networks', and each partition's with its cached
+        # quiet horizon (its wake), visit and stall counters.
+        self._calls = 0
+        self._net_mark = 0
+        self._net_stalls: Sequence[Tuple[StatCounters, int]] = ()
+        count = len(self.partitions)
+        self._part_mark = [0] * count
+        self._part_wake: List[float] = [0] * count
+        self._part_visit: List[float] = [0] * count
+        self._part_stalls: List[List[Tuple[StatCounters, int]]] = [
+            [] for _ in range(count)]
+        # The inject-credit wake: the partition each SM waits on (-1 for
+        # none).
+        self._credit_waiting = [-1] * num_sms
+        #: SM ids whose awaited request-network credit the body freed;
+        #: the gated drive loop runs them this cycle and clears the list.
+        self.credit_woken: List[int] = []
         self._s_inject_stall = self.stats.slot("inject_stall_cycles")
+        self._s_injected = self.stats.slot("requests_injected")
+        self._s_delivered = self.stats.slot("responses_delivered")
 
     # ------------------------------------------------------------------
     # SM-facing interface
@@ -139,15 +184,17 @@ class MemorySystem:
             _ATTRIBUTION[0] = _owner(request)
         try:
             request.partition = destination
-            self.tracker.record_event(request, Event.ICNT_INJECT, now)
+            self.tracker.record_event(request, _ICNT_INJECT, now)
             self.request_network.inject(sm_id, destination, request, now)
-            self.stats.add("requests_injected")
+            self.stats.inc(self._s_injected)
         finally:
             if blanket is not None:
                 _ATTRIBUTION[0] = blanket
+        # The last walk's result stays exact when it was already
+        # ``now + 1``: input can only bring work forward.
         if now + 1 < self._wake:
             self._wake = now + 1
-        self._visit = None
+            self._visit = None
         return True
 
     def charge_inject_stalls(self, request: MemoryRequest,
@@ -161,6 +208,14 @@ class MemorySystem:
         self.stats.inc(self._s_inject_stall, cycles)
         _ATTRIBUTION[0] = blanket
 
+    def wait_for_credit(self, sm_id: int,
+                        request: Optional[MemoryRequest]) -> None:
+        """Register SM ``sm_id`` to be woken (see :attr:`credit_woken`)
+        when a request-network credit frees towards ``request``'s
+        partition; ``None`` cancels a registration."""
+        self._credit_waiting[sm_id] = (
+            -1 if request is None else self.partition_of(request.address))
+
     def pop_response(self, sm_id: int) -> Optional[MemoryRequest]:
         """Remove one response destined for ``sm_id``, if any has arrived.
 
@@ -173,11 +228,11 @@ class MemorySystem:
             if blanket is not None:
                 _ATTRIBUTION[0] = _owner(response)
                 try:
-                    self.stats.add("responses_delivered")
+                    self.stats.inc(self._s_delivered)
                 finally:
                     _ATTRIBUTION[0] = blanket
             else:
-                self.stats.add("responses_delivered")
+                self.stats.inc(self._s_delivered)
             # A freed reply credit can unblock a partition's return queue.
             self._wake = 0
             self._visit = None
@@ -200,118 +255,186 @@ class MemorySystem:
     # Per-cycle processing
     # ------------------------------------------------------------------
     def cycle(self, now: int) -> None:
-        """Advance the networks and all partitions by one cycle.
+        """Advance the networks and the due partitions by one cycle.
 
-        In fast mode (``reference_memory=False``) the body is skipped while
-        ``now`` is before the cached wake-up time — see the class
-        docstring for why that is behaviour-identical.
+        Reference memory ticks every partition.  Otherwise the body is
+        skipped before the cached wake-up time, and a partition is
+        ticked only when it is due — see the class docstring for why
+        both are behaviour-identical.
         """
-        if now < self._wake and not self.reference_memory:
-            self._skipped += 1
-            return
-        if self._skipped:
-            self._credit_stalls()
+        reference = self.reference_memory
+        if not reference:
+            self._calls += 1
+            if now < self._wake:
+                return
+            calls = self._calls
+            self._credit(self._net_stalls, calls - 1 - self._net_mark)
+            wakes, marks = self._part_wake, self._part_mark
         request_network = self.request_network
+        reply_network = self.reply_network
+        delivered, returning = self._delivered, self._returning
         request_network.cycle(now)
         for partition in self.partitions:
-            if request_network.has_output(partition.partition_id):
+            pid = partition.partition_id
+            due = reference or now >= wakes[pid]
+            if delivered[pid] and partition.can_accept():
                 while partition.can_accept():
-                    request = request_network.peek(partition.partition_id)
+                    request = request_network.pop(pid)
                     if request is None:
                         break
-                    request_network.pop(partition.partition_id)
                     partition.accept(request, now)
-            partition.cycle(now)
-            if partition.return_queue:
+                if pid in self._credit_waiting:
+                    self._wake_credit_waiters(pid)
+                due = True
+            if due:
+                if not reference:
+                    self._credit(self._part_stalls[pid],
+                                 calls - 1 - marks[pid])
+                partition.cycle(now)
+            if returning[pid]:
+                return_queue = partition.return_queue
                 injected = 0
                 while (
                     injected < self.reply_inject_per_cycle
-                    and partition.return_queue
-                    and self.reply_network.can_inject(
-                        partition.return_queue.peek().sm_id)
+                    and return_queue
+                    and reply_network.can_inject(return_queue.peek().sm_id)
                 ):
-                    response = partition.return_queue.pop()
-                    self.reply_network.inject(
-                        partition.partition_id, response.sm_id, response, now
-                    )
+                    response = return_queue.pop()
+                    reply_network.inject(pid, response.sm_id, response, now)
                     injected += 1
-        self.reply_network.cycle(now)
-        if not self.reference_memory:
-            stalls: List[Tuple[StatCounters, int]] = []
-            self._visit, self._wake = self._walk(now, stalls)
-            self._stalls = stalls
+                if injected and not due:
+                    self._credit(self._part_stalls[pid], calls - marks[pid])
+                    due = True
+            if due and not reference:
+                stalls = self._part_stalls[pid] = []
+                self._part_visit[pid], wakes[pid] = partition.horizons(
+                    now, stalls)
+                marks[pid] = calls
+        reply_network.cycle(now)
+        if not reference:
+            self._net_mark = calls
+            self._visit, self._wake = self._refresh(now)
+
+    def _wake_credit_waiters(self, pid: int) -> None:
+        """Move the SMs waiting on a credit towards ``pid`` to
+        :attr:`credit_woken`."""
+        waiting = self._credit_waiting
+        for sm_id, destination in enumerate(waiting):
+            if destination == pid:
+                waiting[sm_id] = -1
+                self.credit_woken.append(sm_id)
+
+    @staticmethod
+    def _credit(stalls: Sequence[Tuple[StatCounters, int]],
+                owed: int) -> None:
+        """Bump ``stalls`` for ``owed`` skipped ticks.
+
+        Runs only where no attribution context is set (the body,
+        :meth:`next_event_time` and :meth:`collect_stats`), like the
+        per-tick bumps it replaces.
+        """
+        if owed:
+            for stats, slot in stalls:
+                stats.inc(slot, owed)
 
     def _credit_stalls(self) -> None:
-        """Bump the sleep's stall counters once per skipped body run.
+        """Credit every component's stalls up to the current slot."""
+        calls = self._calls
+        self._credit(self._net_stalls, calls - self._net_mark)
+        self._net_mark = calls
+        marks = self._part_mark
+        for pid, mark in enumerate(marks):
+            self._credit(self._part_stalls[pid], calls - mark)
+            marks[pid] = calls
 
-        Runs only where no attribution context is set (the body and
-        :meth:`collect_stats`), like the per-cycle bumps it replaces.
-        """
-        skipped = self._skipped
-        self._skipped = 0
-        for stats, slot in self._stalls:
-            stats.inc(slot, skipped)
+    def _refresh(self, now: int) -> Tuple[float, float]:
+        """``(visit, quiet)`` of the whole memory system after a cycle at
+        ``now`` or SM input, from fresh network horizons and the cached
+        partition ones."""
+        self._credit(self._net_stalls, self._calls - self._net_mark)
+        self._net_mark = self._calls
+        stalls: List[Tuple[StatCounters, int]] = []
+        self._net_stalls = stalls
+        return self._horizons(now, stalls, cached=True)
 
     def _walk(self, now: int,
               stalls: List[Tuple[StatCounters, int]]) -> Tuple[float, float]:
         """``(visit, quiet)`` of the whole memory system after a cycle at
-        ``now``: one walk over both networks and every partition.
+        ``now`` from a fresh walk over both networks and every
+        partition: what reference memory serves, and the oracle the
+        cached walk is checked against.  It changes no state."""
+        return self._horizons(now, stalls, cached=False)
+
+    def _horizons(self, now: int, stalls: List[Tuple[StatCounters, int]],
+                  cached: bool) -> Tuple[float, float]:
+        """The walk behind :meth:`_refresh` and :meth:`_walk`.
 
         *visit* is the earliest of the components' visits (``inf`` when
         idle).  *quiet* is the earliest cycle at which the body can
         change state without SM input, or ``now + 1`` when it can next
-        cycle.  Each component appends the ``(stats, slot)`` stall
-        counters one body run before its horizon bumps.  The memory
-        system adds the two hand-offs between components: a partition
-        taking a delivered request, and a return queue head entering the
-        reply network.  Replies waiting at the SMs' outputs are the SMs'
-        to pop; they make the reply network's visit ``now + 1``, and
-        :meth:`pop_response` wakes the body.
+        cycle.  The networks append their stall counters to ``stalls``;
+        so do the partitions unless ``cached``, when their last walks
+        are read from the cache instead.  The
+        memory system adds the two hand-offs between components: a
+        partition taking a delivered request, and a return queue head
+        entering the reply network.  Replies waiting at the SMs' outputs
+        are the SMs' to pop; they make the reply network's visit
+        ``now + 1``, and :meth:`pop_response` wakes the body.
         """
         later = now + 1
-        request_network = self.request_network
         reply_network = self.reply_network
-        visit, quiet = request_network.horizons(now, stalls)
-        # Past the quiet check below, the request network polls exactly
-        # when a delivered request waits at one of its outputs.
-        delivered = visit <= later
-        reply_visit, reply_quiet = reply_network.horizons(now, stalls)
-        if reply_quiet < quiet:
-            quiet = reply_quiet
-        if quiet <= later:
-            return later, later
-        if reply_visit < visit:
-            visit = reply_visit
+        visit = quiet = _NEVER
+        delivered, returning = self._delivered, self._returning
+        wakes, visits = self._part_wake, self._part_visit
+        # Partitions first: their cached results are the cheapest way
+        # to learn that something moves next cycle.
         for partition in self.partitions:
-            if (delivered
-                    and request_network.has_output(partition.partition_id)
-                    and partition.can_accept()):
+            pid = partition.partition_id
+            if delivered[pid] and partition.can_accept():
                 return later, later
-            return_queue = partition.return_queue
-            if return_queue and reply_network.can_inject(
-                    return_queue.peek().sm_id):
+            if returning[pid] and reply_network.can_inject(
+                    returning[pid][0].sm_id):
                 return later, later
-            partition_visit, partition_quiet = partition.horizons(
-                now, stalls)
+            if cached:
+                partition_visit, partition_quiet = visits[pid], wakes[pid]
+            else:
+                partition_visit, partition_quiet = partition.horizons(
+                    now, stalls)
             if partition_quiet <= later:
                 return later, later
+            # A cached visit before the quiet horizon means it polls.
+            if partition_visit < partition_quiet:
+                partition_visit = later
             if partition_visit < visit:
                 visit = partition_visit
             if partition_quiet < quiet:
                 quiet = partition_quiet
+        network_visit, network_quiet = self.request_network.horizons(
+            now, stalls)
+        reply_visit, reply_quiet = reply_network.horizons(now, stalls)
+        if reply_quiet < network_quiet:
+            network_quiet = reply_quiet
+        if network_quiet <= later:
+            return later, later
+        if reply_visit < network_visit:
+            network_visit = reply_visit
+        if network_visit < visit:
+            visit = network_visit
+        if network_quiet < quiet:
+            quiet = network_quiet
         return visit, quiet
 
     def quiet_horizon(self, now: int) -> float:
         """Earliest cycle after ``now`` at which the memory system can
         change state without SM input (``now + 1`` after SM input until
-        the next body run, and always on reference memory, which never
+        the next walk, and always on reference memory, which never
         walks)."""
         return max(self._wake, now + 1)
 
     def replay_stalls(self, cycles: int) -> None:
         """Account ``cycles`` clock cycles the GPU jumps over, all before
         :meth:`quiet_horizon`, as skipped body runs."""
-        self._skipped += cycles
+        self._calls += cycles
 
     # ------------------------------------------------------------------
     # Introspection
@@ -332,13 +455,17 @@ class MemorySystem:
         the body or through that input, and a visit computed earlier
         stays exact up to clamping to ``now + 1`` (a component that
         polls keeps polling, a timed event that has come is due now).
-        The reference path walks every time.
+        A stale visit is walked again (:meth:`_refresh`), and that walk's
+        quiet horizon gates the body too.  The reference path walks
+        every time.
         """
-        visit = self._visit
-        if visit is None or self.reference_memory:
+        if self.reference_memory:
             visit = self._walk(now, [])[0]
-            if not self.reference_memory:
-                self._visit = visit
+        else:
+            visit = self._visit
+            if visit is None:
+                self._visit, self._wake = self._refresh(now)
+                visit = self._visit
         if visit == _NEVER:
             return None
         return max(int(visit), now + 1)
@@ -353,7 +480,7 @@ class MemorySystem:
         totals but in no launch view — they form the "unattributed"
         residual of a scenario report.
         """
-        if self._skipped:
+        if not self.reference_memory:
             self._credit_stalls()
         combined = StatCounters(prefix="memory")
         combined.merge(self.stats.view(launch_id))

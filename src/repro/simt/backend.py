@@ -42,10 +42,13 @@ An engine that sets ``supports_device_skip`` is run by the GPU's gated
 drive loop (:meth:`~repro.gpu.gpu.GPU._drive_skip`) and must add:
 
 * the gate: ``_sm_wake``, the next cycle its body must run, and
-  ``_reply_entries``, the memory replies that open the gate early.  A
-  body run before the wake may only bump the per-scheduler issue-idle
-  counters, which the loop replays in bulk; the wake of an SM gated past
-  a decision is its next event;
+  ``_reply_entries``, the memory replies that open the gate early (the
+  memory system's ``credit_woken`` list opens it too, for an SM that
+  registered a refused miss-queue head with ``wait_for_credit``).  A
+  body run before the wake may only bump the stall counters
+  ``replay_stalls`` bumps, which the loop replays in bulk; the wake of
+  an SM gated past a decision is its next event, unless its cached
+  visit (``_sm_next``) lies before the wake, which means it polls;
 * ``quiet_horizon(now)`` / ``replay_stalls(cycles)`` — the stall jump:
   the earliest cycle the SM can change state without a memory reply,
   and the bulk replay of the stall counters of the cycles the GPU jumps

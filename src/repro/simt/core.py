@@ -209,6 +209,12 @@ class StreamingMultiprocessor:
         self._slot_issued = self.stats.slot("instructions_issued")
         self._slot_idle = self.stats.slot("issue_idle_cycles")
         self._slot_active = self.stats.slot("active_cycles")
+        self._slot_branches = self.stats.slot("branches")
+        self._slot_uniform = self.stats.slot("uniform_branches")
+        self._slot_divergent = self.stats.slot("divergent_stack_cycles")
+        self._slot_finished = self.stats.slot("warps_finished")
+        self._slot_partial_exits = self.stats.slot("partial_exits")
+        self._slot_memory = self.stats.slot("memory_instructions")
         self._warp_size = config.warp_size
         self._alu_latency = config.alu_latency
         self._sfu_latency = config.sfu_latency
@@ -490,11 +496,11 @@ class StreamingMultiprocessor:
     def _execute_branch(self, warp: Warp, instruction: Instruction,
                         decoded: DecodedInstruction, exec_mask: np.ndarray,
                         now: int) -> None:
-        self.stats.add("branches")
+        self.stats.inc(self._slot_branches)
         if decoded.guard is not None and bool(exec_mask.any()) and not bool(
             (warp.active_mask & ~exec_mask).any()
         ):
-            self.stats.add("uniform_branches")
+            self.stats.inc(self._slot_uniform)
         warp.stack.branch(
             taken_mask=exec_mask,
             target=instruction.target,
@@ -502,7 +508,7 @@ class StreamingMultiprocessor:
             fallthrough_pc=instruction.pc + 1,
         )
         if warp.stack.depth > 1:
-            self.stats.add("divergent_stack_cycles")
+            self.stats.inc(self._slot_divergent)
 
     def _execute_exit(self, warp: Warp, instruction: Instruction,
                       decoded: DecodedInstruction, exec_mask: np.ndarray,
@@ -513,7 +519,8 @@ class StreamingMultiprocessor:
             self._note_warp_done(warp)
         elif bool(remaining.any()):
             warp.stack.advance(instruction.pc + 1)
-        self.stats.add("warps_finished" if warp.done else "partial_exits")
+        self.stats.inc(self._slot_finished if warp.done
+                       else self._slot_partial_exits)
 
     def _execute_barrier(self, warp: Warp, instruction: Instruction,
                          decoded: DecodedInstruction, exec_mask: np.ndarray,
@@ -593,7 +600,7 @@ class StreamingMultiprocessor:
             self.global_memory.write_words(float_addresses, sources[1],
                                            exec_mask)
         self.ldst.issue(warp, instruction, float_addresses, exec_mask, now)
-        self.stats.add("memory_instructions")
+        self.stats.inc(self._slot_memory)
         warp.stack.advance(instruction.pc + 1)
 
     # ------------------------------------------------------------------
@@ -674,9 +681,12 @@ class FastCore(StreamingMultiprocessor):
     On top of the ready sets sits a cached SM quiescence gate that the
     GPU's gated drive loop (:meth:`repro.gpu.gpu.GPU._drive_skip`) reads:
     the body need not run before ``_sm_wake`` unless a memory reply
-    waits in ``_reply_entries``.  With every warp parked, a body run
-    before the wake would only bump the per-scheduler issue-idle
-    counters, which the loop replays in bulk instead — so skipped cycles
+    waits in ``_reply_entries`` or the memory system frees the credit a
+    refused miss-queue head waits for.  When no warp can move, the wake
+    is the SM's quiet horizon, so the SM sleeps through the cycles in
+    which its LD/ST unit only polls; a body run before the wake would
+    only bump the per-scheduler issue-idle counters and the LD/ST
+    stalls, which the loop replays in bulk instead — so skipped cycles
     are byte-identical to executed quiescent ones.
     """
 
@@ -750,7 +760,9 @@ class FastCore(StreamingMultiprocessor):
         own stages the same way, so it is ticked unconditionally.
         """
         ldst = self.ldst
-        ldst.process_writebacks(now)
+        writebacks = ldst._writebacks
+        if writebacks and writebacks[0][0] <= now:
+            ldst.process_writebacks(now)
         if self._alu_pipe:
             self._complete_alu(now)
         if self._barrier_ctas:
@@ -762,15 +774,36 @@ class FastCore(StreamingMultiprocessor):
         if issued:
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
-        if (self._barrier_ctas or any(self._ready)
-                or any(self._ldst_blocked)):
+        later = now + 1
+        if self._warps_movable():
             # Warp state can change next cycle; the walk is only needed
             # if the GPU stops without an issue, so defer it.
-            self._sm_wake = now + 1
+            self._sm_wake = later
             self._sm_next_stale = True
         else:
-            self._sm_wake = self._walk(now)
+            # Park on the quiet horizon: each cycle before it would only
+            # bump the stalls :meth:`replay_stalls` bumps.
+            self._walk(now)
+            quiet = self._sm_quiet
+            if quiet > later:
+                self._sm_wake = quiet
+                self.memory_system.wait_for_credit(self.sm_id, ldst._refused)
+            else:
+                self._sm_wake = later
         return issued
+
+    def _warps_movable(self) -> bool:
+        """Whether a warp can issue or leave a barrier next cycle: a
+        candidate, an LD/ST-blocked warp with a free LD/ST slot, or a
+        barrier every live warp of its CTA has reached."""
+        if any(self._ready) or (any(self._ldst_blocked)
+                                and self.ldst.can_accept()):
+            return True
+        for cta_id in self._barrier_ctas:
+            cta = self.ctas.get(cta_id)
+            if cta is not None and cta.barrier_reached():
+                return True
+        return False
 
     def _walk(self, now: int) -> float:
         """Cache :meth:`_horizons` and return its visit.
@@ -785,9 +818,10 @@ class FastCore(StreamingMultiprocessor):
         return self._sm_next
 
     def next_event_time(self, now: int) -> Optional[int]:
-        """The base class's value, served from the walk cache."""
+        """The base class's value, served from the walk cache (a cached
+        visit before ``now + 1`` is a poll that goes on)."""
         visit = self._walk(now) if self._sm_next_stale else self._sm_next
-        return None if visit == math.inf else int(visit)
+        return None if visit == math.inf else max(int(visit), now + 1)
 
     def quiet_horizon(self, now: int) -> float:
         """Earliest cycle after ``now`` at which the SM can change state
@@ -798,16 +832,15 @@ class FastCore(StreamingMultiprocessor):
         the horizon is then the earlier of the next ALU completion and
         the LD/ST unit's horizon.  Each cycle before it bumps every
         scheduler's issue-idle counter plus the LD/ST stalls, which
-        :meth:`replay_stalls` bumps for a jump of the GPU's clock.
+        :meth:`replay_stalls` bumps for a jump of the GPU's clock and
+        for the cycles the SM sleeps through parked on this horizon.
+        The other outside input besides a reply is a freed
+        request-network credit for a miss-queue head ``try_inject``
+        refused; a parked SM registers for it with
+        :meth:`~repro.memory.subsystem.MemorySystem.wait_for_credit`.
         """
-        later = now + 1
-        if any(self._ready) or (any(self._ldst_blocked)
-                                and self.ldst.can_accept()):
-            return later
-        for cta_id in self._barrier_ctas:
-            cta = self.ctas.get(cta_id)
-            if cta is not None and cta.barrier_reached():
-                return later
+        if self._warps_movable():
+            return now + 1
         if self._sm_next_stale:
             self._walk(now)
         return self._sm_quiet

@@ -47,6 +47,9 @@ from repro.simt.warp import Warp
 from repro.utils.queues import BoundedQueue
 from repro.utils.stats import StatCounters
 
+_ISSUE = Event.ISSUE.column
+_L1_ACCESS = Event.L1_ACCESS.column
+
 
 class LoadToken:
     """Tracks completion of one warp-level load instruction."""
@@ -156,6 +159,8 @@ class LoadStoreUnit:
         self._s_stage_full = stats.slot("l1_stage_full_cycles")
         self._s_icnt_stall = stats.slot("icnt_stall_cycles")
         self._s_mshr_merges = stats.slot("mshr_merges")
+        self._s_shared = stats.slot("shared_accesses")
+        self._s_bank_conflicts = stats.slot("shared_bank_conflict_cycles")
         if self.l1 is not None:
             self._s_l1_misses = self.l1.stats.slot("misses")
             self._s_l1_hits = self.l1.stats.slot("hits")
@@ -170,6 +175,7 @@ class LoadStoreUnit:
         self._miss_capacity = self.miss_queue.capacity
         self._miss_unbounded = self.miss_queue.unbounded
         self._inject_rate = config.icnt_inject_rate
+        self._queue_capacity = config.ldst_queue_size
         self._reply_entries = memory_system.response_entries(sm_id)
         self._hit_delay = config.l1.hit_latency + config.writeback_latency
         self._sm_base = config.sm_base_latency
@@ -194,7 +200,7 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     def can_accept(self) -> bool:
         """Whether another warp-level memory instruction can be buffered."""
-        return len(self.instruction_queue) < self.config.ldst_queue_size
+        return len(self.instruction_queue) < self._queue_capacity
 
     def issue(
         self,
@@ -332,7 +338,7 @@ class LoadStoreUnit:
         if ready_time > now:
             return
         if self.tracker.enabled:
-            request.timestamps[Event.L1_ACCESS] = now
+            request.times[_L1_ACCESS] = now
         stall = self._l1_stall(request)
         if stall is not None:
             self.stats.inc(stall)
@@ -422,7 +428,7 @@ class LoadStoreUnit:
             launch_id=pending.warp.launch_id,
         )
         if self.tracker.enabled:
-            request.timestamps[Event.ISSUE] = now
+            request.times[_ISSUE] = now
         ready = now + self._sm_base
         if self.time_quantum > 1:
             ready = self._stamp(ready)
@@ -441,8 +447,8 @@ class LoadStoreUnit:
         else:
             conflict_degree = 1
         extra = conflict_degree - 1
-        self.stats.add("shared_accesses")
-        self.stats.add("shared_bank_conflict_cycles", extra)
+        self.stats.inc(self._s_shared)
+        self.stats.inc(self._s_bank_conflicts, extra)
         if pending.token is not None:
             complete = self._stamp(now + self.config.shared_latency + extra)
             heapq.heappush(

@@ -66,6 +66,7 @@ import json
 import multiprocessing
 import signal
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -94,6 +95,10 @@ REQUEST_BUDGET_S = 300
 
 #: Seconds a stopping worker gets to exit on its own before it is killed.
 _STOP_GRACE_S = 5
+
+#: How long :meth:`ReproServer.server_close` waits, in all, for handler
+#: threads still answering requests after the pool has stopped.
+_CLOSE_JOIN_S = 10
 
 
 class ServeError(ReproError):
@@ -208,6 +213,8 @@ class WorkerPool:
                                   f"request budget (REQUEST_BUDGET_S); its "
                                   f"worker was stopped")
         if reply is None:
+            if self._closed:
+                raise ServeError(503, "server is shutting down")
             raise ServeError(500, f"worker process ended while simulating "
                                   f"(exit code {worker.process.exitcode})")
         ok, result = reply
@@ -489,21 +496,53 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
 
 class ReproServer(ThreadingHTTPServer):
-    """The ``repro serve`` HTTP server bound to one session + store."""
+    """The ``repro serve`` HTTP server bound to one session + store.
 
-    daemon_threads = True
+    Each connection is handled on its own daemon thread, so a client
+    that holds a connection open cannot keep the process alive; the
+    server tracks those threads itself (``socketserver`` does not track
+    daemon threads) so that :meth:`server_close` can let the requests
+    in flight be answered before it returns.
+    """
 
     def __init__(self, address: Tuple[str, int], session,
                  quiet: bool = False) -> None:
         self.broker = RequestBroker(session)
         self.quiet = quiet
+        self._handlers: List[threading.Thread] = []
+        self._handlers_lock = threading.Lock()
         super().__init__(address, _ServeHandler)
 
+    def process_request(self, request, client_address) -> None:
+        """Handle one connection on a new, tracked daemon thread."""
+        thread = threading.Thread(target=self._handle_connection,
+                                  args=(request, client_address),
+                                  daemon=True)
+        with self._handlers_lock:
+            self._handlers.append(thread)
+        thread.start()
+
+    def _handle_connection(self, request, client_address) -> None:
+        try:
+            self.process_request_thread(request, client_address)
+        finally:
+            with self._handlers_lock:
+                self._handlers.remove(threading.current_thread())
+
     def server_close(self) -> None:
-        """Stop the worker pool, then close the socket and join the
-        handler threads."""
+        """Stop the worker pool, close the socket, then wait (at most
+        :data:`_CLOSE_JOIN_S` seconds in all) for the handler threads.
+
+        A request whose simulation the pool stopped is answered 503, so
+        every request in flight gets a status before this returns.
+        """
         self.broker.close()
         super().server_close()
+        deadline = time.monotonic() + _CLOSE_JOIN_S
+        with self._handlers_lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def describe(self) -> str:
         """One-line summary for the startup banner."""

@@ -63,7 +63,7 @@ class BoundedQueue(Generic[T]):
 
     def full(self) -> bool:
         """Return ``True`` if no further entry can be accepted."""
-        return not self.unbounded and len(self._entries) >= self.capacity
+        return 0 < self.capacity <= len(self._entries)
 
     def empty(self) -> bool:
         """Return ``True`` if the queue holds no entries."""

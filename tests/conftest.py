@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from repro.core.tracker import LatencyTracker
 from repro.gpu import GPU, fermi_gf100, get_config
@@ -21,6 +22,14 @@ from repro.memory.interconnect import InterconnectConfig
 from repro.memory.l2cache import L2SliceConfig
 from repro.memory.partition import PartitionConfig
 from repro.simt.coreconfig import CoreConfig, L1Config
+
+#: Every tier-1 run draws the same hypothesis examples: each property
+#: test is seeded from its own source, tests without their own
+#: ``max_examples`` get a fixed budget of 100, and nothing is replayed
+#: from (or written to) an example database.
+settings.register_profile("repro", derandomize=True, max_examples=100,
+                          database=None)
+settings.load_profile("repro")
 
 
 def make_fast_config(name: str = "fast", **overrides) -> GPUConfig:

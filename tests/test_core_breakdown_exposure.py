@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.breakdown import compute_breakdown
+from repro.core.breakdown import breakdown_from_tracker, compute_breakdown
 from repro.core.exposure import ExposureBucket, ExposureResult, compute_exposure
-from repro.core.stages import Event, Stage
+from repro.core.stages import EVENT_ORDER, Event, Stage, classify_lifetime
 from repro.core.tracker import LatencyTracker, RequestRecord
 from repro.utils.errors import ConfigurationError
+from repro.workloads import create_workload
 
 
 def make_record(latency, l1_hit=False, is_write=False, space="global"):
@@ -98,6 +99,87 @@ class TestBreakdown:
         assert sum(bucket.count for bucket in result.buckets) == len(latencies)
         total_cycles = sum(bucket.total_cycles for bucket in result.buckets)
         assert total_cycles == sum(latencies)
+
+
+def loop_classify(timestamps):
+    """The per-request loop the columnar classifier replaced: gaps
+    between consecutive recorded events, by the stage of the earlier
+    one; a request without ICNT_INJECT books its post-L1 gap as SM
+    Base."""
+    gap_stage = {
+        Event.ISSUE: Stage.SM_BASE, Event.L1_ACCESS: Stage.L1_TO_ICNT,
+        Event.ICNT_INJECT: Stage.ICNT_TO_ROP,
+        Event.ROP_ARRIVE: Stage.ROP_TO_L2Q,
+        Event.L2Q_ARRIVE: Stage.L2Q_TO_DRAMQ,
+        Event.L2_DATA: Stage.FETCH_TO_SM,
+        Event.DRAM_Q_ARRIVE: Stage.DRAM_Q_TO_SCH,
+        Event.DRAM_SCHEDULED: Stage.DRAM_SCH_TO_A,
+        Event.DRAM_DATA: Stage.FETCH_TO_SM,
+    }
+    present = [(event, timestamps[event]) for event in EVENT_ORDER
+               if event in timestamps]
+    breakdown = {stage: 0 for stage in Stage}
+    for (event, time), (_, next_time) in zip(present, present[1:]):
+        stage = gap_stage[event]
+        if event is Event.L1_ACCESS and Event.ICNT_INJECT not in timestamps:
+            stage = Stage.SM_BASE
+        breakdown[stage] += next_time - time
+    return breakdown
+
+
+def loop_buckets(records, num_buckets):
+    """Per-bucket (count, stage cycles) of ``records``, bucketed one
+    request at a time as the columnar breakdown replaced it."""
+    latencies = sorted(record.latency for record in records)
+    low = latencies[0]
+    clip = min(len(latencies) - 1, int(round(0.995 * (len(latencies) - 1))))
+    high = max(latencies[clip], low + 1)
+    span = max(high - low, 1)
+    buckets = [[0, {stage: 0 for stage in Stage}]
+               for _ in range(num_buckets)]
+    for record in records:
+        index = min(int((record.latency - low) / span * num_buckets),
+                    num_buckets - 1)
+        buckets[index][0] += 1
+        for stage, cycles in loop_classify(record.timestamps).items():
+            buckets[index][1][stage] += cycles
+    return low, high, buckets
+
+
+#: Random lifetimes: ISSUE, COMPLETE and any subset of the events between,
+#: at non-decreasing cycles.
+LIFETIMES = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=400)),
+    min_size=len(EVENT_ORDER), max_size=len(EVENT_ORDER))
+
+
+class TestColumnarMatchesLoop:
+    """The one-pass array classification and bucketing give exactly what
+    the per-request loop gives."""
+
+    @given(LIFETIMES)
+    @settings(max_examples=200)
+    def test_classification_matches_the_loop(self, draws):
+        timestamps = {}
+        time = 0
+        for index, (event, (keep, delta)) in enumerate(zip(EVENT_ORDER,
+                                                          draws)):
+            time += delta
+            if keep or index in (0, len(EVENT_ORDER) - 1):
+                timestamps[event] = time
+        assert classify_lifetime(timestamps) == loop_classify(timestamps)
+
+    def test_simulated_breakdown_matches_the_loop(self, fast_gpu):
+        workload = create_workload("bfs", num_nodes=256, avg_degree=6,
+                                   block_dim=64, seed=3)
+        workload.run(fast_gpu)
+        records = fast_gpu.tracker.read_requests()
+        result = breakdown_from_tracker(fast_gpu.tracker, num_buckets=24)
+        low, high, buckets = loop_buckets(records, 24)
+        assert (result.min_latency, result.max_latency) == (low, high)
+        assert result.total_requests == len(records) > 0
+        assert [(bucket.count, bucket.stage_cycles)
+                for bucket in result.buckets] == [tuple(b) for b in buckets]
 
 
 class TestExposure:

@@ -18,12 +18,16 @@ import concurrent.futures
 
 import pytest
 
+import repro.core.stages
+import repro.core.tracker
+from repro.core.breakdown import breakdown_from_tracker
 from repro.experiments import Experiment, ParallelExecutor
 from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
 from repro.sensitivity import parse_transform
 from repro.simt.core import StreamingMultiprocessor
 from repro.simt.scoreboard import Scoreboard
+from repro.utils.stats import StatCounters
 from repro.workloads import create_workload
 
 CELLS = {
@@ -193,7 +197,7 @@ class TestMemoryWakeGate:
         memory = gpu.memory_system
         body_runs = count_calls(monkeypatch, memory.request_network,
                                 "cycle")
-        walks = count_calls(monkeypatch, memory, "_walk")
+        walks = count_calls(monkeypatch, memory, "_refresh")
         input_cycles = set()
         try_inject, pop_response = memory.try_inject, memory.pop_response
 
@@ -294,3 +298,150 @@ class TestScanCountGate:
         assert requests > 0 and busy > 10 * requests
         assert counts["none"] <= started
         assert counts["calls"] <= 2 * requests
+
+
+class TestLdstParkGate:
+    """An SM none of whose warps can move (each waits on a scoreboard or
+    behind a full LD/ST unit) parks on its quiet horizon, stalled LD/ST
+    unit included: its body runs again when the horizon comes, a reply
+    arrives, or the request network frees the credit a refused
+    miss-queue head waits for, never just to poll the unit."""
+
+    def test_no_body_run_only_polls_a_full_ldst_unit(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "fast")
+        memory = gpu.memory_system
+        # SMs the memory body woke on a freed credit this cycle: another
+        # SM may take that credit first, leaving the woken one polling.
+        woken = set()
+        wake_waiters = memory._wake_credit_waiters
+
+        def waking(pid):
+            before = list(memory.credit_woken)
+            wake_waiters(pid)
+            woken.update(sm_id for sm_id in memory.credit_woken
+                         if sm_id not in before)
+
+        monkeypatch.setattr(memory, "_wake_credit_waiters", waking)
+        runs, polls = [0], [0]
+        for sm in gpu.sms:
+            def body(now, _sm=sm, _cycle=sm.cycle, _quiet=[None]):
+                ldst = _sm.ldst
+                head = ldst._miss_entries[0] if ldst._miss_entries else None
+                blocked_only = (
+                    not any(_sm._ready) and not _sm._barrier_ctas
+                    and not (any(_sm._ldst_blocked) and ldst.can_accept())
+                    and not _sm._reply_entries)
+                credit = _sm.sm_id in woken or (
+                    head is not None and memory.can_inject(head.address))
+                woken.discard(_sm.sm_id)
+                runs[0] += 1
+                if (blocked_only and not credit and _quiet[0] is not None
+                        and now < _quiet[0]):
+                    polls[0] += 1
+                issued = _cycle(now)
+                # The horizon this run leaves, read without disturbing
+                # the unit's record of its stalls.
+                saved = ldst._stalls, ldst._refused
+                _quiet[0] = StreamingMultiprocessor._horizons(_sm, now)[1]
+                ldst._stalls, ldst._refused = saved
+                return issued
+
+            monkeypatch.setattr(sm, "cycle", body)
+        run_verified(gpu, workload)
+        assert runs[0] and polls[0] == 0, (polls[0], runs[0])
+
+
+class TestPartitionWakeGate:
+    """The memory body ticks a partition only when its own wake is due or
+    the request network delivers to it, so on the bfs cell most body runs
+    leave most partitions asleep."""
+
+    def test_partition_ticks_at_most_half_of_body_runs(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "fast")
+        memory = gpu.memory_system
+        body_runs = count_calls(monkeypatch, memory.request_network,
+                                "cycle")
+        ticks = [count_calls(monkeypatch, partition, "cycle")
+                 for partition in memory.partitions]
+        run_verified(gpu, workload)
+        total = sum(count[0] for count in ticks)
+        assert total and 2 * total <= body_runs[0] * len(ticks), (
+            total, body_runs[0], len(ticks))
+
+
+class TestRefreshGatesBodyGate:
+    """After SM input the memory system walks again for its next event,
+    and that walk's quiet horizon gates its body: the stall jump is not
+    refused by a gate left at the next cycle."""
+
+    def test_quiet_horizon_matches_a_fresh_walk(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "fast")
+        memory = gpu.memory_system
+        mismatched, after_input = [], [0]
+        sleep = GPU._sleep_through_stalls
+
+        def sleeping(device, now, *args):
+            fresh = max(memory._walk(now, [])[1], now + 1)
+            gate = memory.quiet_horizon(now)
+            if gate != fresh:
+                mismatched.append((now, gate, fresh))
+            return sleep(device, now, *args)
+
+        try_inject = memory.try_inject
+
+        def injecting(sm_id, request, now):
+            injected = try_inject(sm_id, request, now)
+            after_input[0] += injected
+            return injected
+
+        monkeypatch.setattr(GPU, "_sleep_through_stalls", sleeping)
+        monkeypatch.setattr(memory, "try_inject", injecting)
+        run_verified(gpu, workload)
+        assert after_input[0] and not mismatched, mismatched[:5]
+
+
+class TestColumnarBreakdownGate:
+    """The Figure 1 breakdown classifies the tracker's columns in one
+    array pass: no per-request Python classification."""
+
+    def test_no_per_request_classification(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "fast")
+        run_verified(gpu, workload)
+        calls = [count_calls(monkeypatch, module, "classify_lifetime")
+                 for module in (repro.core.stages, repro.core.tracker)]
+        result = breakdown_from_tracker(gpu.tracker)
+        assert result.total_requests > 0
+        assert sum(count[0] for count in calls) == 0
+
+
+class TestInternedCountersGate:
+    """Per-request and per-issue counters bump pre-interned slots; the
+    string-keyed ``StatCounters.add`` is left to per-CTA bookkeeping and
+    to stats collection (``merge``)."""
+
+    PER_CTA = {"ctas_launched", "ctas_retired", "barriers_released"}
+
+    def test_no_string_keyed_add_per_request(self, monkeypatch):
+        gpu, workload = build_cell("bfs", "fast")
+        names = []
+        merging = [0]
+        add, merge = StatCounters.add, StatCounters.merge
+
+        def adding(self, name, amount=1):
+            if not merging[0]:
+                names.append(name)
+            return add(self, name, amount)
+
+        def merged(self, other):
+            merging[0] += 1
+            try:
+                return merge(self, other)
+            finally:
+                merging[0] -= 1
+
+        monkeypatch.setattr(StatCounters, "add", adding)
+        monkeypatch.setattr(StatCounters, "merge", merged)
+        run_verified(gpu, workload)
+        requests = gpu.collect_stats()["memory.memsys.requests_injected"]
+        assert requests > 0
+        assert set(names) <= self.PER_CTA, sorted(set(names) - self.PER_CTA)

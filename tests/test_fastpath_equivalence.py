@@ -415,11 +415,26 @@ class TestHorizonContract:
         (memory-heavy) run, which is exactly where a stale or past time
         would corrupt the simulation clock.
         """
+        self.check_every_decision(monkeypatch, make_fast_config())
+
+    def test_every_clock_decision_under_tight_queues(self, monkeypatch):
+        """The same under tight queues, which keep LD/ST units stalled,
+        so SMs park while they poll."""
+        parked_polling = self.check_every_decision(
+            monkeypatch, tight_config("cached"))
+        assert any(parked_polling)
+
+    @staticmethod
+    def check_every_decision(monkeypatch, config):
+        """Run the bfs cell on ``config`` with the contract checked at
+        every decision; returns, for each decision an SM was parked
+        past, whether it polled."""
         from repro.gpu.gpu import GPU as GPUClass
         from repro.simt.core import FastCore, StreamingMultiprocessor
 
         checked_cycles = []
         polled = []
+        parked_polling = []
 
         def checked(gpu, issued):
             now = gpu.cycle
@@ -455,16 +470,22 @@ class TestHorizonContract:
                 fresh = StreamingMultiprocessor.next_event_time(sm, now)
                 assert fresh is None or fresh > now, (sm.sm_id, now)
                 if not sm._sm_next_stale:
-                    # The gated loop's cache: a value in the past would
-                    # stop the clock on an event already gone, and the
+                    # The gated loop's cache: a visit in the past is a
+                    # poll (the SM's LD/ST unit is stalled), and the
                     # quiet horizon is the one a fresh walk finds.
-                    assert sm._sm_next > now, (sm.sm_id, now)
+                    assert (sm._sm_next > now
+                            or sm._sm_next < sm._sm_quiet), (sm.sm_id, now)
                     assert (sm._sm_quiet
                             == StreamingMultiprocessor._horizons(sm, now)[1]
                             ), (sm.sm_id, now)
                 if now + 1 < sm._sm_wake and not sm._reply_entries:
-                    # A parked SM's wake stands in for its next event.
-                    assert fresh == (None if sm._sm_wake == math.inf
+                    # A parked SM sleeps to its quiet horizon, which
+                    # stands in for its next event unless it polls.
+                    assert sm._sm_wake == sm._sm_quiet, (sm.sm_id, now)
+                    polls = sm._sm_next < sm._sm_quiet
+                    parked_polling.append(polls)
+                    assert fresh == (now + 1 if polls
+                                     else None if sm._sm_wake == math.inf
                                      else sm._sm_wake), (sm.sm_id, now)
                 assert sm.next_event_time(now) == fresh, (sm.sm_id, now)
             checked_cycles.append(now)
@@ -474,13 +495,14 @@ class TestHorizonContract:
         # and the gated loop ``fast`` runs through).
         monkeypatch.setattr(GPUClass, "_clock_check_hook",
                             staticmethod(checked))
-        run_workload(make_fast_config(core_backend="fast"), "bfs",
+        run_workload(config.replace(core_backend="fast"), "bfs",
                      {"num_nodes": 128, "avg_degree": 5, "block_dim": 64,
                       "seed": 17})
         assert checked_cycles
         # Some decision found a poller that cannot move: the visit and
         # the quiet horizon really differ there.
         assert any(polled)
+        return parked_polling
 
 
 def build_wide_register_kernel():
@@ -722,6 +744,17 @@ STALL_COUNTERS = (
 
 BFS_SMALL = {"num_nodes": 128, "avg_degree": 5, "block_dim": 64, "seed": 5}
 
+#: Queue and MSHR sizes down to one entry, and one or two times the
+#: partitions, drawn on top of :data:`TIGHT_QUEUES`: the axes along which
+#: the per-component wakes hand work between SMs and partitions.
+QUEUE_AXES = st.fixed_dictionaries({
+    "l1_mshr": st.integers(min_value=1, max_value=4),
+    "l2_mshr": st.integers(min_value=1, max_value=4),
+    "miss_queue": st.integers(min_value=1, max_value=4),
+    "rop_queue": st.integers(min_value=1, max_value=4),
+    "partition_scale": st.sampled_from([1, 2]),
+})
+
 
 class TestBackPressureEquivalence:
     """Byte-identity while the memory pipeline is backed up.
@@ -755,10 +788,20 @@ class TestBackPressureEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(axes=MICROBENCH_AXES,
            variant=st.sampled_from(["cached", "uncached", "no_l2"]),
-           dram_scale=st.sampled_from([1, 8]))
+           dram_scale=st.sampled_from([1, 8]),
+           queues=QUEUE_AXES)
     def test_random_spec_identical_on_all_exact_cores(self, axes, variant,
-                                                      dram_scale):
+                                                      dram_scale, queues):
         config = tight_config(variant)
+        overrides = {"core.l1.mshr_entries": queues["l1_mshr"],
+                     "core.l1.miss_queue_size": queues["miss_queue"],
+                     "partition.rop_queue_size": queues["rop_queue"],
+                     "mapping.num_partitions": (
+                         config.mapping.num_partitions
+                         * queues["partition_scale"])}
+        if variant != "no_l2":
+            overrides["partition.l2.mshr_entries"] = queues["l2_mshr"]
+        config = config.derive(overrides)
         if dram_scale > 1:
             config = parse_transform(
                 f"scale_dram_latency:{dram_scale}").apply(config)

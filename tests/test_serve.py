@@ -526,6 +526,30 @@ class TestWorkerPool:
         assert broker.counters["errors"] == 3
         assert multiprocessing.active_children() == []
 
+    def test_request_in_flight_at_close_is_answered(self):
+        """server_close() stops the pool while a request simulates; the
+        request is answered 503 before server_close() returns."""
+        server = ReproServer(("127.0.0.1", 0), Session(), quiet=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        results = []
+        client = threading.Thread(target=lambda: results.append(
+            _request(server, spec_of("sleepy_test"))))
+        client.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not server.broker._inflight:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert not server._handlers
+        client.join(timeout=30)
+        thread.join(timeout=10)
+        assert results == [(503, {"error": "server is shutting down"})]
+        assert multiprocessing.active_children() == []
+
     def test_server_close_leaves_no_child(self):
         with serving(Session()) as server:
             assert _request(server, CHEAP_SPEC)[0] == 200

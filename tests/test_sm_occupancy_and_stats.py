@@ -3,7 +3,8 @@ exposure bookkeeping, and memory-request metadata."""
 
 import pytest
 
-from repro.core.stages import Event
+from repro.core.stages import EVENT_ORDER, Event
+from repro.core.tracker import LatencyTracker
 from repro.gpu import GPU
 from repro.isa import KernelBuilder, MemSpace
 from repro.memory.request import MemoryRequest
@@ -167,8 +168,10 @@ class TestMemoryRequestMetadata:
         request = MemoryRequest(address=0, size=128, is_write=False,
                                 space=MemSpace.GLOBAL, sm_id=0)
         assert request.timestamps == {}
-        request.timestamps[Event.ISSUE] = 5
-        assert request.timestamps[Event.ISSUE] == 5
+        assert request.times == [-1] * len(EVENT_ORDER)
+        LatencyTracker().record_event(request, Event.ISSUE, 5)
+        assert request.timestamps == {Event.ISSUE: 5}
+        assert request.times[Event.ISSUE.column] == 5
 
 
 class TestFastForward:
