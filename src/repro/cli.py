@@ -364,7 +364,7 @@ def _cmd_bundle_run(args: argparse.Namespace) -> int:
                                     buckets=args.buckets)
     record = args.session.run(experiment)
     if args.json:
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        print(record.to_json(indent=2))
     else:
         _print_dynamic(record)
     _write_output(args, [record])
@@ -652,7 +652,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                                      verify=not args.no_verify)
     record = args.session.run(experiment)
     if args.json:
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+        print(record.to_json(indent=2))
     else:
         print(record.summary())
         print()

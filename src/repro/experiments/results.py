@@ -16,7 +16,6 @@ JSON have an empty artifact dict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -31,7 +30,7 @@ from repro.core.static import (
 )
 from repro.core.stages import STAGE_ORDER, Stage
 from repro.gpu.gpu import KernelResult
-from repro.utils.atomic import atomic_write_text
+from repro.utils.codec import Codec
 from repro.utils.errors import ExperimentError
 
 
@@ -181,7 +180,7 @@ def light_artifacts(artifacts: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 @dataclass
-class RunRecord:
+class RunRecord(Codec):
     """The persistent outcome of one experiment run.
 
     ``experiment`` is the producing spec as plain data, ``launches`` the
@@ -247,40 +246,6 @@ class RunRecord:
         """The inferred hierarchy (sweep runs only)."""
         return self.artifacts.get("hierarchy")
 
-    # -- serialization --
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (artifacts excluded)."""
-        return {
-            "experiment": dict(self.experiment),
-            "kind": self.kind,
-            "total_cycles": self.total_cycles,
-            "launches": [dict(launch) for launch in self.launches],
-            "payload": dict(self.payload),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output (no artifacts)."""
-        return cls(
-            experiment=dict(data["experiment"]),
-            kind=data["kind"],
-            total_cycles=data.get("total_cycles", 0),
-            launches=[dict(launch) for launch in data.get("launches", [])],
-            payload=dict(data.get("payload", {})),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        """Rebuild a record from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
     def summary(self) -> str:
         """One-line human-readable summary of the record."""
         spec = self.experiment
@@ -306,7 +271,7 @@ class RunRecord:
 
 
 @dataclass
-class RunSet:
+class RunSet(Codec):
     """An ordered collection of :class:`RunRecord` with JSON persistence."""
 
     records: List[RunRecord] = field(default_factory=list)
@@ -363,40 +328,6 @@ class RunSet:
                    for key, value in spec_fields.items()):
                 selected.append(record)
         return RunSet(records=selected)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of the whole set."""
-        return {"records": [record.to_dict() for record in self.records]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSet":
-        """Rebuild a set from :meth:`to_dict` output."""
-        if "records" not in data:
-            raise ExperimentError("run set data needs a 'records' field")
-        return cls(records=[RunRecord.from_dict(record)
-                            for record in data["records"]])
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form: ``from_json(s).to_json() == s``."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSet":
-        """Rebuild a set from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        """Atomically write the set to ``path`` as canonical JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RunSet":
-        """Read a set previously written with :meth:`save`."""
-        with open(path) as handle:
-            return cls.from_json(handle.read())
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.codec import Codec
 from repro.utils.errors import ExperimentError
 
 #: The supported experiment kinds.
@@ -366,7 +367,7 @@ def coerce_kind_params(kind: str, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 @dataclass(frozen=True)
-class Experiment:
+class Experiment(Codec):
     """One declarative, JSON round-trippable experiment specification.
 
     Attributes
@@ -527,50 +528,6 @@ class Experiment:
                         label=label,
                     ))
         return experiments
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of this experiment (JSON-native types only)."""
-        return {
-            "kind": self.kind,
-            "configs": list(self.configs),
-            "workload": self.workload,
-            "params": dict(self.params),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Experiment":
-        """Rebuild an experiment from :meth:`to_dict` output."""
-        unknown = set(data) - {"kind", "configs", "workload", "params",
-                               "label"}
-        if unknown:
-            raise ExperimentError(
-                f"unknown experiment fields {sorted(unknown)}"
-            )
-        if "kind" not in data:
-            raise ExperimentError("experiment spec needs a 'kind' field")
-        return cls(
-            kind=data["kind"],
-            configs=tuple(data.get("configs") or ()),
-            workload=data.get("workload"),
-            params=dict(data.get("params") or {}),
-            label=data.get("label"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Experiment":
-        """Rebuild an experiment from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
     def cache_key(self) -> str:
         """Canonical string identity used for session result caching."""

@@ -44,12 +44,12 @@ from repro.sensitivity.study import (
     _normalise_chain,
 )
 from repro.sensitivity.transforms import TransformChain, nominal_dram_latency
-from repro.utils.atomic import atomic_write_text
+from repro.utils.codec import Codec
 from repro.utils.errors import ExperimentError
 
 
 @dataclass(frozen=True)
-class LatencyToleranceAtlas:
+class LatencyToleranceAtlas(Codec):
     """Declarative specification of one 2-D latency-tolerance sweep.
 
     Attributes
@@ -143,60 +143,6 @@ class LatencyToleranceAtlas:
                 f"{self.workload!r}; valid axes: {sorted(spec)}"
             )
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "config": self.config,
-            "axis": self.axis,
-            "values": list(self.values),
-            "transform": self.transform.to_list(),
-            "scales": list(self.scales),
-            "workload": self.workload,
-            "params": dict(self.params),
-            "label": self.label,
-            "neighbor": dict(self.neighbor) if self.neighbor else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LatencyToleranceAtlas":
-        """Rebuild an atlas spec from :meth:`to_dict` output."""
-        unknown = set(data) - {"config", "axis", "values", "transform",
-                               "scales", "workload", "params", "label",
-                               "neighbor"}
-        if unknown:
-            raise ExperimentError(
-                f"unknown atlas fields {sorted(unknown)}"
-            )
-        transform = data.get("transform", "scale_dram_latency")
-        if isinstance(transform, list):
-            transform = TransformChain.from_list(transform)
-        return cls(
-            config=data.get("config", ""),
-            axis=data.get("axis", ""),
-            values=tuple(data.get("values", ())),
-            transform=transform,
-            scales=tuple(data.get("scales", (1.0, 2.0, 4.0, 8.0))),
-            workload=data.get("workload", "microbench"),
-            params=dict(data.get("params", {})),
-            label=data.get("label"),
-            neighbor=data.get("neighbor"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatencyToleranceAtlas":
-        """Rebuild an atlas spec from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         neighbor = (f" (co-located with {self.neighbor['workload']})"
@@ -262,25 +208,15 @@ class LatencyToleranceAtlas:
 
 
 @dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(Codec):
     """One sweep row: an axis value and its fitted sensitivity curve."""
 
     value: float
     curve: SensitivityCurve
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {"value": self.value, "curve": self.curve.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AtlasRow":
-        """Rebuild a row from :meth:`to_dict` output."""
-        return cls(value=data["value"],
-                   curve=SensitivityCurve.from_dict(data["curve"]))
-
 
 @dataclass
-class AtlasResult:
+class AtlasResult(Codec):
     """The complete outcome of one latency-tolerance atlas sweep.
 
     ``atlas`` is the producing spec as plain data,
@@ -307,45 +243,6 @@ class AtlasResult:
         """Per-row ``(axis value, cycles-per-injected-cycle slope)``."""
         return [(row.value, row.curve.metrics.slope_cycles_per_injected)
                 for row in self.rows]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "atlas": dict(self.atlas),
-            "base_nominal_latency": self.base_nominal_latency,
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AtlasResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            atlas=dict(data["atlas"]),
-            base_nominal_latency=data["base_nominal_latency"],
-            rows=[AtlasRow.from_dict(row) for row in data["rows"]],
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form: ``from_json(s).to_json() == s``."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtlasResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        """Atomically write the result to ``path`` as canonical JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "AtlasResult":
-        """Read a result previously written with :meth:`save`."""
-        with open(path) as handle:
-            return cls.from_json(handle.read())
 
 
 def parse_axis_token(token: str) -> Tuple[str, List[Any]]:

@@ -38,13 +38,14 @@ runtime grew.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.utils.codec import Codec
 from repro.utils.errors import ExperimentError
 
 
 @dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(Codec):
     """One sweep point: a perturbed configuration and its measurements.
 
     ``scale`` is the sweep scale factor (the transform chain's identity
@@ -63,26 +64,9 @@ class SensitivityPoint:
     exposed_fraction: float
     total_loads: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "scale": self.scale,
-            "config": self.config,
-            "transform": self.transform,
-            "injected_latency": self.injected_latency,
-            "cycles": self.cycles,
-            "exposed_fraction": self.exposed_fraction,
-            "total_loads": self.total_loads,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SensitivityPoint":
-        """Rebuild a point from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class ToleranceMetrics:
+class ToleranceMetrics(Codec):
     """Fitted tolerance metrics for one sensitivity curve."""
 
     baseline_cycles: int
@@ -92,36 +76,6 @@ class ToleranceMetrics:
     half_tolerance_injected: Optional[float] = None
     tolerance_curve: Tuple[Tuple[float, float], ...] = ()
     exposed_fraction_curve: Tuple[Tuple[float, float], ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "baseline_cycles": self.baseline_cycles,
-            "slope_cycles_per_scale": self.slope_cycles_per_scale,
-            "slope_cycles_per_injected": self.slope_cycles_per_injected,
-            "half_tolerance_scale": self.half_tolerance_scale,
-            "half_tolerance_injected": self.half_tolerance_injected,
-            "tolerance_curve": [list(pair) for pair in self.tolerance_curve],
-            "exposed_fraction_curve": [
-                list(pair) for pair in self.exposed_fraction_curve
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ToleranceMetrics":
-        """Rebuild metrics from :meth:`to_dict` output."""
-        return cls(
-            baseline_cycles=data["baseline_cycles"],
-            slope_cycles_per_scale=data.get("slope_cycles_per_scale"),
-            slope_cycles_per_injected=data.get("slope_cycles_per_injected"),
-            half_tolerance_scale=data.get("half_tolerance_scale"),
-            half_tolerance_injected=data.get("half_tolerance_injected"),
-            tolerance_curve=tuple(
-                tuple(pair) for pair in data.get("tolerance_curve", ())),
-            exposed_fraction_curve=tuple(
-                tuple(pair)
-                for pair in data.get("exposed_fraction_curve", ())),
-        )
 
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:

@@ -23,7 +23,6 @@ no matter how many transform axes sweep over it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -48,7 +47,7 @@ from repro.sensitivity.transforms import (
     injected_latency,
     nominal_dram_latency,
 )
-from repro.utils.atomic import atomic_write_text
+from repro.utils.codec import Codec
 from repro.utils.errors import ExperimentError
 
 #: The label prefix marking experiments generated by a sensitivity sweep.
@@ -85,34 +84,16 @@ def _normalise_chain(axis: Union[str, TransformChain]) -> TransformChain:
 
 
 @dataclass(frozen=True)
-class SensitivityCurve:
+class SensitivityCurve(Codec):
     """One transform axis of a study: its points and fitted metrics."""
 
     transform: TransformChain
     points: Tuple[SensitivityPoint, ...]
     metrics: ToleranceMetrics
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "transform": self.transform.to_list(),
-            "points": [point.to_dict() for point in self.points],
-            "metrics": self.metrics.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SensitivityCurve":
-        """Rebuild a curve from :meth:`to_dict` output."""
-        return cls(
-            transform=TransformChain.from_list(data["transform"]),
-            points=tuple(SensitivityPoint.from_dict(point)
-                         for point in data["points"]),
-            metrics=ToleranceMetrics.from_dict(data["metrics"]),
-        )
-
 
 @dataclass(frozen=True)
-class SensitivityStudy:
+class SensitivityStudy(Codec):
     """Declarative specification of one latency-sensitivity sweep.
 
     Attributes
@@ -180,54 +161,6 @@ class SensitivityStudy:
             entry.setdefault("stream", 1)
             object.__setattr__(
                 self, "neighbor", normalize_scenario_kernels([entry])[0])
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "config": self.config,
-            "workload": self.workload,
-            "transforms": [chain.to_list() for chain in self.transforms],
-            "scales": list(self.scales),
-            "params": dict(self.params),
-            "label": self.label,
-            "neighbor": dict(self.neighbor) if self.neighbor else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SensitivityStudy":
-        """Rebuild a study from :meth:`to_dict` output."""
-        unknown = set(data) - {"config", "workload", "transforms", "scales",
-                               "params", "label", "neighbor"}
-        if unknown:
-            raise ExperimentError(
-                f"unknown sensitivity study fields {sorted(unknown)}"
-            )
-        return cls(
-            config=data.get("config", ""),
-            workload=data.get("workload", ""),
-            transforms=tuple(
-                TransformChain.from_list(chain)
-                for chain in data.get("transforms", ())),
-            scales=tuple(data.get("scales", ())),
-            params=dict(data.get("params", {})),
-            label=data.get("label"),
-            neighbor=data.get("neighbor"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityStudy":
-        """Rebuild a study from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -369,7 +302,7 @@ class SensitivityStudy:
 
 
 @dataclass
-class SensitivityResult:
+class SensitivityResult(Codec):
     """The complete outcome of one sensitivity study.
 
     ``study`` is the producing spec as plain data,
@@ -398,43 +331,3 @@ class SensitivityResult:
             f"no sensitivity curve matches {token_or_index!r}; available: "
             f"{[curve.transform.token() for curve in self.curves]}"
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (``runs`` excluded)."""
-        return {
-            "study": dict(self.study),
-            "base_nominal_latency": self.base_nominal_latency,
-            "curves": [curve.to_dict() for curve in self.curves],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SensitivityResult":
-        """Rebuild a result from :meth:`to_dict` output (no ``runs``)."""
-        return cls(
-            study=dict(data["study"]),
-            base_nominal_latency=data["base_nominal_latency"],
-            curves=[SensitivityCurve.from_dict(curve)
-                    for curve in data["curves"]],
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form: ``from_json(s).to_json() == s``."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        """Atomically write the result to ``path`` as canonical JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SensitivityResult":
-        """Read a result previously written with :meth:`save`."""
-        with open(path) as handle:
-            return cls.from_json(handle.read())

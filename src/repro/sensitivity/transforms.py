@@ -46,13 +46,13 @@ configuration/workload registries.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.gpu.config import GPUConfig
+from repro.utils.codec import Codec
 from repro.utils.errors import ConfigurationError, ExperimentError
 from repro.utils.registry import Registry
 
@@ -188,7 +188,7 @@ def scale_max_warps(config: GPUConfig, value: float) -> GPUConfig:
 
 
 @dataclass(frozen=True)
-class Transform:
+class Transform(Codec):
     """One named configuration perturbation with a numeric parameter.
 
     ``name`` must be registered in :data:`TRANSFORM_REGISTRY`; ``value``
@@ -234,22 +234,6 @@ class Transform:
         """
         return f"{self.name}:{self.value!r}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {"name": self.name, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Transform":
-        """Rebuild a transform from :meth:`to_dict` output."""
-        unknown = set(data) - {"name", "value"}
-        if unknown:
-            raise ExperimentError(
-                f"unknown transform fields {sorted(unknown)}"
-            )
-        if "name" not in data:
-            raise ExperimentError("transform spec needs a 'name' field")
-        return cls(name=data["name"], value=data.get("value", 1.0))
-
 
 def parse_transform(token: str) -> Transform:
     """Parse one CLI transform token: ``name`` or ``name:value``."""
@@ -271,7 +255,7 @@ def parse_transform(token: str) -> Transform:
 
 
 @dataclass(frozen=True)
-class TransformChain:
+class TransformChain(Codec):
     """An ordered composition of transforms, applied left to right."""
 
     transforms: Tuple[Transform, ...] = ()
@@ -338,24 +322,16 @@ class TransformChain:
             return "identity"
         return " + ".join(f"{t.name} x{t.value:g}" for t in self.transforms)
 
-    def to_list(self) -> List[Dict[str, Any]]:
-        """Plain-data form: a list of :meth:`Transform.to_dict` dicts."""
-        return [transform.to_dict() for transform in self.transforms]
+    # Codec hook: a chain's JSON is its bare list of transforms, not a
+    # ``{"transforms": [...]}`` object.
+    def to_dict(self) -> List[Dict[str, Any]]:
+        """Plain-data form: a list of :class:`Transform` dicts."""
+        return super().to_dict()["transforms"]
 
     @classmethod
-    def from_list(cls, data: Sequence[Mapping[str, Any]]) -> "TransformChain":
-        """Rebuild a chain from :meth:`to_list` output."""
-        return cls(tuple(Transform.from_dict(item) for item in data))
-
-    def to_json(self) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        return json.dumps(self.to_list(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransformChain":
-        """Rebuild a chain from :meth:`to_json` output."""
-        return cls.from_list(json.loads(text))
+    def from_dict(cls, data: Any) -> "TransformChain":
+        """Rebuild a chain from :meth:`to_dict` output."""
+        return super().from_dict({"transforms": data})
 
     @classmethod
     def parse(cls, token: str) -> "TransformChain":

@@ -50,12 +50,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.utils.codec import Codec, canonical_json
 from repro.utils.errors import StoreError
 from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
-class StoreKey:
+class StoreKey(Codec):
     """The content address of one stored result."""
 
     spec_hash: str
@@ -69,14 +70,6 @@ class StoreKey:
     def token(self) -> str:
         """Compact one-line form, e.g. for log lines and API responses."""
         return f"{self.spec_hash}/{self.config_hash}/{self.code_version}"
-
-    def to_dict(self) -> Dict[str, str]:
-        """Plain-data form (JSON-native types only)."""
-        return {
-            "spec_hash": self.spec_hash,
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-        }
 
 
 def config_fingerprint(configs: Iterable[Any]) -> str:
@@ -106,14 +99,11 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     return digest.hexdigest()[:16]
 
 
-def canonical_record_json(record: Mapping[str, Any]) -> str:
-    """Canonical JSON text for a record dict (sorted keys, tight separators).
-
-    This is the byte form stored (and checksummed) by every backend, and
-    it matches :meth:`~repro.experiments.RunRecord.to_json`, so a stored
-    record round-trips byte-identically.
-    """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON text for a record dict: the byte form stored (and
+#: checksummed) by every backend.  It is the codec's canonical form, as
+#: :meth:`~repro.experiments.RunRecord.to_json` writes it, so a stored
+#: record round-trips byte-identically.
+canonical_record_json = canonical_json
 
 
 def record_checksum(text: str) -> str:

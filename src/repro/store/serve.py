@@ -474,7 +474,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             spec = json.loads(body.decode("utf-8")) if body else None
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply(400, {"error": f"invalid request JSON: {exc}"})
             return
         if spec is None:

@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -69,6 +68,7 @@ from repro.gpu.gpu import GPU
 from repro.isa.builder import KernelBuilder
 from repro.isa.program import Program
 from repro.memory.globalmem import WORD_SIZE
+from repro.utils.codec import Codec
 from repro.utils.errors import ConfigurationError
 from repro.workloads.base import LaunchSpec, Workload
 
@@ -113,7 +113,7 @@ def _check_int(name: str, value: Any) -> int:
 
 
 @dataclass(frozen=True)
-class MicrobenchSpec:
+class MicrobenchSpec(Codec):
     """Declarative, JSON round-trippable synthetic-kernel specification.
 
     See the module docstring for the meaning of each axis.  Instances
@@ -132,6 +132,8 @@ class MicrobenchSpec:
     ctas: int = 4
     warps_per_cta: int = 2
     iters: int = 32
+
+    codec_error = ConfigurationError
 
     def __post_init__(self) -> None:
         for name in ("ilp", "mlp", "arith_per_load", "stride", "footprint",
@@ -203,52 +205,6 @@ class MicrobenchSpec:
     def loads_per_warp(self) -> int:
         """Global loads one warp issues over the whole kernel."""
         return self.depth * self.ilp * self.mlp
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-native types only)."""
-        return {field.name: getattr(self, field.name)
-                for field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MicrobenchSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Unknown keys raise :class:`ConfigurationError` listing the valid
-        axes, so CLI typos fail with the catalog in hand.
-        """
-        valid = {field.name for field in fields(cls)}
-        unknown = set(data) - valid
-        if unknown:
-            raise ConfigurationError(
-                f"unknown microbench axis(es) {sorted(unknown)}; "
-                f"valid axes: {sorted(valid)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, stable separators)."""
-        if indent is None:
-            return json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MicrobenchSpec":
-        """Rebuild a spec from :meth:`to_json` output."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"invalid microbench spec JSON: {exc}"
-            ) from exc
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                "microbench spec JSON must be an object of axis values"
-            )
-        return cls.from_dict(data)
 
     def spec_hash(self) -> str:
         """Short, stable content hash of the canonical spec."""

@@ -78,7 +78,8 @@ class TestAtlasSpec:
         assert rebuilt.to_json() == atlas.to_json()
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ExperimentError, match="unknown atlas"):
+        with pytest.raises(ExperimentError,
+                           match="unknown LatencyToleranceAtlas field"):
             LatencyToleranceAtlas.from_dict(
                 {"config": "fast", "axis": "ilp", "values": [1], "bogus": 1})
 

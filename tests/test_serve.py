@@ -310,11 +310,23 @@ class TestHTTP:
         with serving(Session(store=store)) as reborn:
             assert _post(reborn, CHEAP_SPEC)["source"] == "store"
 
-    def test_bad_spec_is_400(self, server):
+    @pytest.mark.parametrize("spec,named", [
+        ({"kind": "bogus"}, "bogus"),
+        # Mistyped fields are client errors too, not 500s.
+        ({"kind": "dynamic", "configs": ["gf100"], "workload": "bfs",
+          "params": [1, 2]}, "params"),
+        ({"kind": "dynamic", "configs": [["gf100"]], "workload": "bfs"},
+         "configs"),
+        ({"kind": "dynamic", "configs": ["gf100"], "workload": ["bfs"]},
+         "workload"),
+        (b"[" * 100_000, "JSON"),
+    ], ids=["unknown-kind", "params-list", "nested-configs",
+            "workload-list", "deep-nesting"])
+    def test_bad_spec_is_400(self, server, spec, named):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, {"kind": "bogus"})
+            _post(server, spec)
         assert excinfo.value.code == 400
-        assert "bogus" in json.load(excinfo.value)["error"]
+        assert named in json.load(excinfo.value)["error"]
 
     def test_invalid_json_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -371,7 +371,7 @@ class TestMicrobenchCLI:
         assert main(["microbench", "--set", "bogus=3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "bogus" in err and "valid axes" in err
+        assert "bogus" in err and "valid fields" in err and "mlp" in err
 
     def test_invalid_axis_value_clean_error(self, capsys):
         assert main(["microbench", "--set", "stride=130"]) == 1
