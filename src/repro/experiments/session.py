@@ -34,6 +34,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -61,6 +62,7 @@ from repro.experiments.spec import (
     split_dynamic_params,
 )
 from repro.gpu import GPU, get_config, table_i_generations
+from repro.gpu.configs import CONFIG_REGISTRY
 from repro.gpu.config import GPUConfig
 from repro.simt.backend import core_backend_is_exact
 from repro.utils.errors import ExperimentError
@@ -73,6 +75,14 @@ def _param(experiment: Experiment, name: str) -> Any:
     if name in experiment.params and experiment.params[name] is not None:
         return experiment.params[name]
     return KIND_PARAMS[experiment.kind][name][1]
+
+
+def _config_names(experiment: Experiment) -> Tuple[str, ...]:
+    """The config names an experiment resolves: its own, or the Table I
+    generations for a static experiment that names none."""
+    if experiment.kind == "static" and not experiment.configs:
+        return tuple(table_i_generations())
+    return tuple(experiment.configs)
 
 
 def _progress_notifier(progress: Optional[Callable]) -> Callable:
@@ -155,6 +165,11 @@ class Session:
         self.core = core
         self._cache: Dict[str, RunRecord] = {}
         self._local_configs: Dict[str, GPUConfig] = dict(configs or {})
+        self._local_reprs: Dict[str, str] = {
+            name: repr(config) for name, config in self._local_configs.items()}
+        # Memoized config fingerprints (see store_key).
+        self._fingerprints: Dict[tuple, str] = {}
+        self._fingerprint_revision = CONFIG_REGISTRY.revision
         self.cache_hits = 0
         self.cache_misses = 0
         self.store_hits = 0
@@ -181,6 +196,8 @@ class Session:
         """
         resolved = name or config.name
         self._local_configs[resolved] = config
+        self._local_reprs[resolved] = repr(config)
+        self._fingerprints.clear()
         return resolved
 
     def resolve_config(self, name: str) -> GPUConfig:
@@ -213,7 +230,9 @@ class Session:
         writes through to the store so a later run, or another process,
         finds the result.
         """
-        record, source = self.lookup(experiment, use_cache)
+        spec_hash = experiment.spec_hash()
+        record, source = self.lookup(experiment, use_cache,
+                                     spec_hash=spec_hash)
         if record is None:
             runner = {
                 "static": self._run_static,
@@ -222,12 +241,12 @@ class Session:
                 "scenario": self._run_scenario,
             }[experiment.kind]
             record = runner(experiment)
-            self.adopt(experiment, record)
+            self.adopt(experiment, record, spec_hash=spec_hash)
             source = "simulated"
         return record, source
 
     def lookup(self, experiment: Experiment, use_cache: bool = True,
-               store_key=None) -> tuple:
+               store_key=None, spec_hash: Optional[str] = None) -> tuple:
         """Find ``experiment``'s record without simulating it.
 
         Returns ``(record, "cache")`` or ``(record, "store")`` on a hit,
@@ -235,16 +254,19 @@ class Session:
         runs, and ``(None, None)`` on a miss, which the caller resolves
         by simulating and passing the record to :meth:`adopt`.
         ``use_cache=False`` skips both reads (a forced re-run).
-        ``store_key`` spares recomputing a key the caller already holds.
+        ``store_key`` and ``spec_hash`` spare recomputing keys the caller
+        already holds; the spec is hashed at most once either way.
         """
-        key = self._cache_key(experiment)
+        spec_hash = (store_key.spec_hash if store_key is not None
+                     else spec_hash or experiment.spec_hash())
+        key = self._cache_key(experiment, spec_hash)
         if self.cache_enabled and use_cache and key in self._cache:
             self.cache_hits += 1
             return self._cache[key], "cache"
         self.cache_misses += 1
         if self.store is not None and use_cache:
             stored = self.store.get(store_key
-                                    or self.store_key(experiment))
+                                    or self.store_key(experiment, spec_hash))
             if stored is not None:
                 self.store_hits += 1
                 record = rehydrate_artifacts(RunRecord.from_dict(stored))
@@ -255,7 +277,7 @@ class Session:
         return None, None
 
     def adopt(self, experiment: Experiment, record: RunRecord,
-              store_key=None) -> None:
+              store_key=None, spec_hash: Optional[str] = None) -> None:
         """Take in a freshly simulated record of ``experiment``.
 
         Counts the simulation, writes the record through to the store
@@ -264,12 +286,14 @@ class Session:
         :meth:`run_all` worker or in a ``repro serve`` worker all pass
         through this one step.
         """
+        spec_hash = (store_key.spec_hash if store_key is not None
+                     else spec_hash or experiment.spec_hash())
         self.simulated_runs += 1
         if self.store is not None:
-            self.store.put(store_key or self.store_key(experiment),
+            self.store.put(store_key or self.store_key(experiment, spec_hash),
                            record.to_dict())
         if self.cache_enabled:
-            self._cache[self._cache_key(experiment)] = \
+            self._cache[self._cache_key(experiment, spec_hash)] = \
                 self._cacheable(record)
 
     def run_many(self, experiments: Iterable[Union[Experiment,
@@ -287,31 +311,21 @@ class Session:
         """Run several experiments, optionally across worker processes.
 
         With ``jobs`` of ``None``/``0``/``1`` this is a plain serial
-        :meth:`run_many`.  With ``jobs > 1`` the specs are deduplicated,
-        parent-cache hits are served locally, and the remaining unique
-        specs are sharded across a pool of worker processes, each owning a
-        long-lived session (see :class:`~repro.experiments.parallel
-        .ParallelExecutor`).  Workers return plain-data records (plus
-        their picklable analysis artifacts) keyed by spec hash; the
-        parent merges them into its own result cache, so a later
-        :meth:`run` of the same spec is a cache hit.  The returned
-        :class:`RunSet` is ordered by submission index and serializes
-        byte-identically to the serial result regardless of worker count
-        or completion order.
+        :meth:`run_many`.  With ``jobs > 1`` each spec is resolved through
+        :meth:`lookup` (cache, then store) in the parent, the misses are
+        deduplicated by spec hash and sharded across a
+        :class:`~repro.experiments.parallel.ParallelExecutor`, and each
+        simulated record is taken in with :meth:`adopt` as it streams
+        back, so an interrupted sweep keeps every completed cell.  The
+        returned :class:`RunSet` is ordered by submission index and
+        serializes byte-identically to the serial result regardless of
+        worker count or completion order.
 
         ``progress``, if given, is called as ``progress(done, total,
         record, source)`` each time a record resolves, where ``source``
         is ``"cache"``, ``"store"``, or ``"simulated"``; callbacks that
         accept only three positional arguments are called without the
         source.
-
-        With a persistent store attached, store hits (including those
-        for specs whose simulation another process already completed)
-        are served in the parent without ever reaching the worker pool —
-        only genuine misses cross a process boundary — and every
-        simulated result is written through to the store as it streams
-        back, so an interrupted parallel sweep keeps each completed
-        cell.
         """
         specs = [experiment if isinstance(experiment, Experiment)
                  else Experiment.from_dict(experiment)
@@ -330,51 +344,24 @@ class Session:
 
         records_by_index: List[Optional[RunRecord]] = [None] * total
         done = 0
-        # Serve parent-cache and store hits locally and dedupe the misses
-        # by spec hash, so each distinct simulation runs exactly once no
-        # matter how often it appears in the grid, and only genuine store
+        # Resolve each spec through lookup (cache, then store) and dedupe
+        # the misses by spec hash, so each distinct simulation runs once
+        # no matter how often it appears in the grid, and only genuine
         # misses are sharded across the worker pool.
         pending: Dict[str, List[int]] = {}
-        # Store-served records for cache-disabled sessions: duplicates of
-        # an already-served spec must not re-read (or re-count) the store
-        # entry once per occurrence differently from the serial path.
-        store_served: Dict[str, RunRecord] = {}
         for index, spec in enumerate(specs):
-            key = self._cache_key(spec)
-            if self.cache_enabled and use_cache and key in self._cache:
-                self.cache_hits += 1
-                records_by_index[index] = self._cache[key]
-                done += 1
-                notify(done, total, self._cache[key], "cache")
-                continue
             spec_hash = spec.spec_hash()
             if spec_hash in pending:
                 pending[spec_hash].append(index)
                 continue
-            if spec_hash in store_served:
-                self.cache_misses += 1
-                self.store_hits += 1
-                records_by_index[index] = store_served[spec_hash]
-                done += 1
-                notify(done, total, store_served[spec_hash], "store")
+            record, source = self.lookup(spec, use_cache,
+                                         spec_hash=spec_hash)
+            if record is None:
+                pending[spec_hash] = [index]
                 continue
-            if self.store is not None and use_cache:
-                stored = self.store.get(self.store_key(spec))
-                if stored is not None:
-                    self.cache_misses += 1
-                    self.store_hits += 1
-                    record = rehydrate_artifacts(
-                        RunRecord.from_dict(stored))
-                    if self.cache_enabled:
-                        self._cache[key] = record
-                    else:
-                        store_served[spec_hash] = record
-                    records_by_index[index] = record
-                    done += 1
-                    notify(done, total, record, "store")
-                    continue
-                self.store_misses += 1
-            pending[spec_hash] = [index]
+            records_by_index[index] = record
+            done += 1
+            notify(done, total, record, source)
         if pending:
             unique = [specs[indices[0]] for indices in pending.values()]
             with ParallelExecutor(jobs=jobs,
@@ -386,16 +373,14 @@ class Session:
                     # Write through before announcing progress, so any
                     # observer of the progress stream (or a crash right
                     # after it) finds the cell durably stored.
-                    self.adopt(specs[indices[0]], record)
-                    # Counter parity with the serial path: with caching
-                    # active, one miss plus a hit per deduplicated
-                    # occurrence; with it off, every occurrence would
-                    # have been a miss.
+                    self.adopt(specs[indices[0]], record,
+                               spec_hash=completed.spec_hash)
+                    # Counter parity with the serial path: each duplicate
+                    # is a hit with caching active, else another miss.
                     if self.cache_enabled and use_cache:
-                        self.cache_misses += 1
                         self.cache_hits += len(indices) - 1
                     else:
-                        self.cache_misses += len(indices)
+                        self.cache_misses += len(indices) - 1
                     for index in indices:
                         records_by_index[index] = record
                         done += 1
@@ -449,28 +434,44 @@ class Session:
             "simulated": self.simulated_runs,
         }
 
-    def store_key(self, experiment: Union[Experiment, Mapping[str, Any]]):
+    def store_key(self, experiment: Union[Experiment, Mapping[str, Any]],
+                  spec_hash: Optional[str] = None):
         """The content-addressed store key of ``experiment`` here and now.
 
         "Here and now" because two of the three components are
         session/state dependent: ``config_hash`` fingerprints the
         *resolved* configurations (session-local overrides and all) and
         ``code_version`` fingerprints the currently installed simulator
-        source.  Only ``spec_hash`` is a pure function of the spec.
+        source.  Only ``spec_hash`` is a pure function of the spec; pass
+        it when already computed.  The config fingerprint is memoized per
+        tuple of names until :meth:`add_config` or a change to the config
+        registry.
         """
-        from repro.store import StoreKey, config_fingerprint, code_version
+        from repro.store import StoreKey, code_version
 
         if not isinstance(experiment, Experiment):
             experiment = Experiment.from_dict(experiment)
-        names = list(experiment.configs)
-        if experiment.kind == "static" and not names:
-            names = table_i_generations()
         return StoreKey(
-            spec_hash=experiment.spec_hash(),
-            config_hash=config_fingerprint(
-                self.resolve_config(name) for name in names),
+            spec_hash=spec_hash or experiment.spec_hash(),
+            config_hash=self._config_hash(_config_names(experiment)),
             code_version=code_version(),
         )
+
+    def _config_hash(self, names: Tuple[str, ...]) -> str:
+        """:func:`~repro.store.config_fingerprint` of the resolved
+        ``names``, memoized (see :meth:`store_key`)."""
+        if self._fingerprint_revision != CONFIG_REGISTRY.revision:
+            self._fingerprints.clear()
+            self._fingerprint_revision = CONFIG_REGISTRY.revision
+        memo_key = (self.core, names)
+        fingerprint = self._fingerprints.get(memo_key)
+        if fingerprint is None:
+            from repro.store import config_fingerprint
+
+            fingerprint = config_fingerprint(
+                self.resolve_config(name) for name in names)
+            self._fingerprints[memo_key] = fingerprint
+        return fingerprint
 
     def clear_cache(self) -> None:
         """Drop all cached results (counters are kept)."""
@@ -493,18 +494,16 @@ class Session:
             artifacts=light,
         )
 
-    def _cache_key(self, experiment: Experiment) -> str:
-        key = experiment.cache_key()
+    def _cache_key(self, experiment: Experiment,
+                   spec_hash: Optional[str] = None) -> str:
+        key = spec_hash or experiment.spec_hash()
         # Session-local configs change what a name means, so their full
         # (deterministic dataclass) repr joins the key.  A static
         # experiment with no explicit configs resolves the Table I
         # generations, so those names count too.
-        names = list(experiment.configs)
-        if experiment.kind == "static" and not names:
-            names = table_i_generations()
-        for name in names:
+        for name in _config_names(experiment):
             if name in self._local_configs:
-                key += f"|{name}={self._local_configs[name]!r}"
+                key += f"|{name}={self._local_reprs[name]}"
         return key
 
     # ------------------------------------------------------------------

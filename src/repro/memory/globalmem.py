@@ -84,26 +84,21 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     # Vector access (used by the functional execution of LD/ST)
     # ------------------------------------------------------------------
-    def read_words(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Read one word per lane for lanes where ``mask`` is set."""
-        result = np.zeros(len(addresses), dtype=np.float64)
-        if not mask.any():
-            return result
-        active = addresses[mask].astype(np.int64)
-        if active.min() < 0 or active.max() + WORD_SIZE > self.size_bytes:
-            raise SimulationError("vector global memory read out of range")
-        result[mask] = self._words[active // WORD_SIZE]
-        return result
+    def _word_indices(self, addresses: np.ndarray, access: str) -> np.ndarray:
+        """Word indices of int64 byte ``addresses``, range-checked once."""
+        if len(addresses) and (addresses.min() < 0 or addresses.max()
+                               + WORD_SIZE > self.size_bytes):
+            raise SimulationError(
+                f"vector global memory {access} out of range")
+        return addresses // WORD_SIZE
 
-    def write_words(self, addresses: np.ndarray, values: np.ndarray,
-                    mask: np.ndarray) -> None:
-        """Write one word per lane for lanes where ``mask`` is set."""
-        if not mask.any():
-            return
-        active = addresses[mask].astype(np.int64)
-        if active.min() < 0 or active.max() + WORD_SIZE > self.size_bytes:
-            raise SimulationError("vector global memory write out of range")
-        self._words[active // WORD_SIZE] = values[mask]
+    def read_words(self, addresses: np.ndarray) -> np.ndarray:
+        """Read the word at each int64 byte address (one per active lane)."""
+        return self._words[self._word_indices(addresses, "read")]
+
+    def write_words(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values`` to the words at the int64 byte ``addresses``."""
+        self._words[self._word_indices(addresses, "write")] = values
 
     # ------------------------------------------------------------------
     # Bulk host <-> device transfer helpers for workloads

@@ -575,31 +575,27 @@ class StreamingMultiprocessor:
                 + global_tids * max(launch.program.local_bytes, WORD_SIZE)
                 + addresses
             )
-        # One float copy, read by the functional access and kept by the
-        # LD/ST unit (neither writes to it).
-        float_addresses = addresses.astype(np.float64)
+        # The active lanes' byte addresses, built once: the functional
+        # access reads or writes through them and the LD/ST unit
+        # coalesces (or takes shared-memory banks) from them.
+        active = addresses[exec_mask]
         if decoded.kind is Kind.LD:
-            if space is MemSpace.SHARED:
-                values = np.zeros(self._warp_size, dtype=np.float64)
-                if exec_mask.any():
-                    indices = (addresses[exec_mask] // WORD_SIZE).astype(
-                        np.int64)
-                    values[exec_mask] = cta.shared[indices]
-            else:
-                values = self.global_memory.read_words(float_addresses,
-                                                       exec_mask)
+            values = np.zeros(self._warp_size, dtype=np.float64)
+            if len(active):
+                if space is MemSpace.SHARED:
+                    values[exec_mask] = cta.shared[active // WORD_SIZE]
+                else:
+                    values[exec_mask] = self.global_memory.read_words(active)
             if decoded.dst_reg is not None:
                 np.copyto(warp.registers[decoded.dst_reg], values,
                           where=exec_mask)
             warp.scoreboard.reserve(instruction)
         elif space is MemSpace.SHARED:
-            if exec_mask.any():
-                indices = (addresses[exec_mask] // WORD_SIZE).astype(np.int64)
-                cta.shared[indices] = sources[1][exec_mask]
+            if len(active):
+                cta.shared[active // WORD_SIZE] = sources[1][exec_mask]
         else:
-            self.global_memory.write_words(float_addresses, sources[1],
-                                           exec_mask)
-        self.ldst.issue(warp, instruction, float_addresses, exec_mask, now)
+            self.global_memory.write_words(active, sources[1][exec_mask])
+        self.ldst.issue(warp, instruction, active, now)
         self.stats.inc(self._slot_memory)
         warp.stack.advance(instruction.pc + 1)
 
@@ -913,6 +909,12 @@ class FastCore(StreamingMultiprocessor):
             warp.instructions_issued += 1
             issued_any = True
             stats.inc(self._slot_issued)
+            following = warp.next_instruction()
+            if (following is not None
+                    and warp.scoreboard.has_hazard(following)):
+                # Park now rather than re-find the hazard next cycle;
+                # _wake_warp re-inserts the warp on the release.
+                self._ready[index].pop(warp.warp_id, None)
         return issued_any
 
     def _collect_candidates(self, index: int) -> List[Warp]:

@@ -94,14 +94,13 @@ class PendingMemoryInstruction:
     """
 
     def __init__(self, warp: Warp, instruction: Instruction,
-                 addresses: np.ndarray, mask: np.ndarray,
-                 token: Optional[LoadToken], lines: List[int]) -> None:
+                 token: Optional[LoadToken], lines: List[int],
+                 conflict_degree: int = 1) -> None:
         self.warp = warp
         self.instruction = instruction
-        self.addresses = addresses
-        self.mask = mask
         self.token = token
         self.remaining_lines = lines
+        self.conflict_degree = conflict_degree
 
     @property
     def is_shared(self) -> bool:
@@ -207,22 +206,27 @@ class LoadStoreUnit:
         warp: Warp,
         instruction: Instruction,
         addresses: np.ndarray,
-        mask: np.ndarray,
         now: int,
     ) -> Optional[LoadToken]:
         """Accept a memory instruction; returns a token for loads.
 
-        The unit keeps ``addresses`` and ``mask`` without copying them:
-        the caller hands over freshly built arrays and must not reuse
-        them for a later instruction.
+        ``addresses`` holds the int64 byte address of each active lane.
+        Global and local accesses coalesce from it into lines at once;
+        a shared access takes its bank-conflict degree from it.
         """
         token: Optional[LoadToken] = None
         if instruction.is_load:
             token = LoadToken(warp, instruction, now, instruction.space)
         lines: List[int] = []
-        if instruction.space is not MemSpace.SHARED:
+        conflict_degree = 1
+        if instruction.space is MemSpace.SHARED:
+            if len(addresses):
+                banks = (addresses // 4) % self.config.shared_banks
+                conflict_degree = int(np.unique(
+                    banks, return_counts=True)[1].max())
+        else:
             line_size = self.line_size
-            active = (addresses[mask].astype(np.int64) // line_size).tolist()
+            active = (addresses // line_size).tolist()
             if active:
                 # Ascending distinct lines, as np.unique gives them.
                 lines = [line * line_size for line in sorted(set(active))]
@@ -242,8 +246,8 @@ class LoadStoreUnit:
         if (instruction.space is MemSpace.SHARED or lines
                 or instruction.is_store):
             self.instruction_queue.append(
-                PendingMemoryInstruction(warp, instruction, addresses,
-                                         mask, token, lines)
+                PendingMemoryInstruction(warp, instruction, token, lines,
+                                         conflict_degree)
             )
         self.stats.inc(self._s_accepted)
         return token
@@ -439,14 +443,7 @@ class LoadStoreUnit:
     def _process_shared(self, pending: PendingMemoryInstruction,
                         now: int) -> None:
         """Model a shared-memory access: latency plus bank-conflict cycles."""
-        active = pending.addresses[pending.mask].astype(np.int64)
-        if len(active):
-            banks = (active // 4) % self.config.shared_banks
-            _, counts = np.unique(banks, return_counts=True)
-            conflict_degree = int(counts.max())
-        else:
-            conflict_degree = 1
-        extra = conflict_degree - 1
+        extra = pending.conflict_degree - 1
         self.stats.inc(self._s_shared)
         self.stats.inc(self._s_bank_conflicts, extra)
         if pending.token is not None:

@@ -39,13 +39,15 @@ Worker pool
 -----------
 The session — its result cache and its store — and the in-flight table
 stay in the server process.  Each genuine miss is simulated in a
-long-lived worker process (:class:`WorkerPool`), which returns the
-record as data; the broker writes it through to the store and the cache
-with :meth:`Session.adopt`, the step :meth:`Session.run_all` uses for
-its own pool.  Workers are forked on demand, when a miss finds none
-idle, up to :func:`~repro.experiments.parallel.default_jobs` (the CPU
-count), so distinct misses simulate in parallel, one per core; a miss
-that finds every worker busy waits for one.  A simulation over
+long-lived worker process of a
+:class:`~repro.experiments.parallel.WorkerPool`, the same pool
+:meth:`Session.run_all` shards grids over; it returns the record as
+data, and the broker writes it through to the store and the cache with
+:meth:`Session.adopt`, as ``run_all`` does.  Workers are forked on
+demand, when a miss finds none idle, up to
+:func:`~repro.experiments.parallel.default_jobs` (the CPU count), so
+distinct misses simulate in parallel, one per core; a miss that finds
+every worker busy waits for one.  A simulation over
 :data:`REQUEST_BUDGET_S` seconds has its worker killed, and a worker
 that dies is reaped; the next miss forks a replacement.
 :meth:`ReproServer.server_close` stops every worker.
@@ -63,14 +65,12 @@ sockets.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.experiments import parallel
+from repro.experiments.parallel import WorkerError, WorkerPool
 from repro.experiments.results import RunRecord
 from repro.experiments.spec import Experiment
 from repro.utils.errors import ReproError
@@ -93,9 +93,6 @@ REQUEST_TIMEOUT_S = 30
 #: 8x DRAM latency takes about 6 s, a full default Table I 1-2 minutes.
 REQUEST_BUDGET_S = 300
 
-#: Seconds a stopping worker gets to exit on its own before it is killed.
-_STOP_GRACE_S = 5
-
 #: How long :meth:`ReproServer.server_close` waits, in all, for handler
 #: threads still answering requests after the pool has stopped.
 _CLOSE_JOIN_S = 10
@@ -107,167 +104,6 @@ class ServeError(ReproError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-
-
-def _serve_worker(conn, configs, core) -> None:
-    """Body of one pool worker: simulate each spec dict it is sent.
-
-    Replies ``(True, (spec hash, record dict, light artifacts))`` or
-    ``(False, "ErrorType: message")``; ``None`` (or the parent closing
-    the pipe) ends it.
-    """
-    # Ctrl-C in a terminal signals the whole process group; the server
-    # stops its workers itself.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parallel._init_worker(configs, core)
-    while True:
-        try:
-            spec_dict = conn.recv()
-        except EOFError:
-            return
-        if spec_dict is None:
-            return
-        try:
-            reply = (True, parallel._run_in_worker(spec_dict))
-        except Exception as exc:
-            reply = (False, f"{type(exc).__name__}: {exc}")
-        # The server caches every record it adopts and never sends a
-        # spec twice, so a worker-side copy would only grow.
-        parallel._WORKER_SESSION.clear_cache()
-        conn.send(reply)
-
-
-class _Worker:
-    """One worker process and the server's end of its pipe."""
-
-    def __init__(self, context, configs, core) -> None:
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_serve_worker, args=(child, configs, core),
-            name="repro-serve-worker", daemon=True)
-        self.process.start()
-        child.close()
-
-    def reap(self, kill: bool) -> None:
-        """Kill (or ask to stop) and join the process; close the pipe."""
-        if not kill:
-            try:
-                self.conn.send(None)
-            except OSError:
-                pass
-            self.process.join(_STOP_GRACE_S)
-        self.process.kill()  # a no-op once the process is reaped
-        self.process.join()
-        self.conn.close()
-
-
-class WorkerPool:
-    """Long-lived simulation workers, forked on demand up to :attr:`size`
-    (:func:`~repro.experiments.parallel.default_jobs`, the CPU count).
-
-    Each worker builds one session with the server session's local
-    ``configs`` and ``core`` (as they are when it forks).  A worker is
-    idle or lent to exactly one :meth:`run` call.  A lent worker is
-    reaped only by the thread it is lent to and an idle one only by
-    :meth:`close`, so no two threads ever join one process; a worker
-    keeps its slot until it is reaped, so at most ``size`` workers are
-    ever alive.
-    """
-
-    def __init__(self, configs: Mapping[str, Any],
-                 core: Optional[str]) -> None:
-        self.size = parallel.default_jobs()
-        self._args = (configs, core)
-        self._context = multiprocessing.get_context(
-            parallel._start_method())
-        self._ready = threading.Condition()
-        self._workers: List[_Worker] = []
-        self._idle: List[_Worker] = []
-        self._closed = False
-
-    def run(self, spec_dict: Dict[str, Any], budget: float
-            ) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
-        """Simulate one spec in a worker; ``_run_in_worker``'s result.
-
-        Raises :class:`ServeError`: 504 when the worker is still busy
-        after ``budget`` seconds (it is killed), 500 when the simulation
-        raised or the worker died, 503 once the pool is closed.
-        """
-        worker = self._acquire()
-        reply = None
-        timed_out = False
-        try:
-            worker.conn.send(spec_dict)
-            timed_out = not worker.conn.poll(budget)
-            if not timed_out:
-                reply = worker.conn.recv()
-        except (EOFError, OSError):
-            pass  # the worker died: reply stays None
-        finally:
-            if reply is None:
-                self._retire(worker, kill=True)
-            else:
-                self._release(worker)
-        if timed_out:
-            raise ServeError(504, f"simulation exceeded the {budget:g} s "
-                                  f"request budget (REQUEST_BUDGET_S); its "
-                                  f"worker was stopped")
-        if reply is None:
-            if self._closed:
-                raise ServeError(503, "server is shutting down")
-            raise ServeError(500, f"worker process ended while simulating "
-                                  f"(exit code {worker.process.exitcode})")
-        ok, result = reply
-        if not ok:
-            raise ServeError(500, result)
-        return result
-
-    def _acquire(self) -> _Worker:
-        with self._ready:
-            while True:
-                if self._closed:
-                    raise ServeError(503, "server is shutting down")
-                if self._idle:
-                    return self._idle.pop()
-                if len(self._workers) < self.size:
-                    worker = _Worker(self._context, *self._args)
-                    self._workers.append(worker)
-                    return worker
-                self._ready.wait()
-
-    def _release(self, worker: _Worker) -> None:
-        with self._ready:
-            if not self._closed:
-                self._idle.append(worker)
-                self._ready.notify()
-                return
-        self._retire(worker, kill=False)
-
-    def _retire(self, worker: _Worker, kill: bool) -> None:
-        worker.reap(kill)
-        with self._ready:
-            self._workers.remove(worker)
-            self._ready.notify_all()
-
-    def close(self) -> None:
-        """Stop every worker and wait until all are reaped (idempotent).
-
-        Idle workers are asked to exit; busy ones are killed, and the
-        thread each is lent to reaps it and answers its request.
-        """
-        with self._ready:
-            self._closed = True
-            idle, self._idle = self._idle, []
-            busy = [worker for worker in self._workers
-                    if worker not in idle]
-            self._ready.notify_all()
-        for worker in busy:
-            worker.process.kill()
-        for worker in idle:
-            self._retire(worker, kill=False)
-        with self._ready:
-            while self._workers:
-                self._ready.wait()
 
 
 class _InFlight:
@@ -379,8 +215,14 @@ class RequestBroker:
                                                  store_key=store_key)
         if record is not None:
             return record.to_dict(), source
-        _spec_hash, record_dict, artifacts = self.pool.run(
-            experiment.to_dict(), REQUEST_BUDGET_S)
+        try:
+            _spec_hash, record_dict, artifacts = self.pool.run(
+                experiment.to_dict(), REQUEST_BUDGET_S)
+        except WorkerError as exc:
+            if exc.reason == "closed":
+                raise ServeError(503, "server is shutting down") from exc
+            status = 504 if exc.reason == "budget" else 500
+            raise ServeError(status, str(exc)) from exc
         record = RunRecord.from_dict(record_dict)
         record.artifacts.update(artifacts)
         with self._session_lock:

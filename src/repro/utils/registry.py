@@ -85,6 +85,9 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: Dict[str, RegistryEntry] = {}
+        #: Bumped by every registration and removal, so callers that
+        #: memoize what a name resolves to can tell when to forget it.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -133,6 +136,7 @@ class Registry:
                 f"{self.kind} {resolved!r} is already registered; "
                 f"pass overwrite=True to replace it"
             )
+        self.revision += 1
         self._entries[resolved] = RegistryEntry(
             name=resolved,
             obj=obj,
@@ -145,12 +149,14 @@ class Registry:
     def unregister(self, name: str) -> Any:
         """Remove and return the object registered under ``name``."""
         try:
-            return self._entries.pop(name).obj
+            entry = self._entries.pop(name)
         except KeyError:
             raise RegistryError(
                 f"no {self.kind} named {name!r} to unregister; "
                 f"registered: {self.names()}"
             ) from None
+        self.revision += 1
+        return entry.obj
 
     # ------------------------------------------------------------------
     # Lookup

@@ -10,6 +10,8 @@ golden-equivalence guarantees pinned in ``test_fastpath_equivalence.py``.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments import Experiment, Session
@@ -25,7 +27,12 @@ from repro.simt.backend import (
 from repro.simt.core import FastCore, KernelLaunch
 from repro.simt.ldst import LoadStoreUnit
 from repro.utils.errors import ConfigurationError
-from repro.workloads import create_workload
+from repro.workloads import (
+    create_workload,
+    register_workload,
+    unregister_workload,
+)
+from repro.workloads.vecadd import VecAddWorkload
 from tests.conftest import make_fast_config
 
 
@@ -150,11 +157,14 @@ class TestSessionShim:
 SMALL_SPEC = Experiment.dynamic("gf100", "vecadd", n=64, block_dim=64)
 
 
-def _worker_backend_name():
-    """Run in a pool worker: the backend its session simulates on."""
-    from repro.experiments import parallel
+class ReferenceOnlyVecAdd(VecAddWorkload):
+    """vecadd that verifies only when simulated on the reference core."""
 
-    return parallel._WORKER_SESSION.run(SMALL_SPEC).gpu.core_backend.name
+    name = "reference_only_test"
+
+    def verify(self, gpu) -> bool:
+        return (gpu.core_backend.name == "reference"
+                and super().verify(gpu))
 
 
 class TestCoreSelection:
@@ -170,12 +180,21 @@ class TestCoreSelection:
         record = Session(cache=False, core="reference").run(SMALL_SPEC)
         assert record.gpu.core_backend.name == "reference"
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork to see runtime registration")
     def test_parallel_executor_core(self):
         from repro.experiments.parallel import ParallelExecutor
 
-        with ParallelExecutor(jobs=1, core="reference") as executor:
-            future = executor._ensure_pool().submit(_worker_backend_name)
-            assert future.result() == "reference"
+        register_workload(ReferenceOnlyVecAdd)
+        try:
+            spec = Experiment.dynamic("gf100", "reference_only_test", n=64,
+                                      block_dim=64)
+            with ParallelExecutor(jobs=1, core="reference") as executor:
+                record = executor.run([spec])[0]
+        finally:
+            unregister_workload(ReferenceOnlyVecAdd.name)
+        assert record.payload["verified"]
 
     def test_cli_core_flag(self, monkeypatch):
         from repro.cli import main

@@ -14,19 +14,19 @@ The two cells:
   ``gf106@scale_dram_latency:8`` — latency-bound, memory mostly idle.
 """
 
-import concurrent.futures
-
 import pytest
 
 import repro.core.stages
 import repro.core.tracker
+import repro.gpu.configs
 from repro.core.breakdown import breakdown_from_tracker
-from repro.experiments import Experiment, ParallelExecutor
+from repro.experiments import Experiment, ParallelExecutor, Session, parallel
 from repro.gpu import GPU, get_config
 from repro.memory.dram import FCFSScheduler, FRFCFSScheduler
 from repro.sensitivity import parse_transform
-from repro.simt.core import StreamingMultiprocessor
+from repro.simt.core import FastCore, StreamingMultiprocessor
 from repro.simt.scoreboard import Scoreboard
+from repro.store import MemoryStore, RequestBroker
 from repro.utils.stats import StatCounters
 from repro.workloads import create_workload
 
@@ -254,17 +254,66 @@ class TestDecodeOnceGate:
 
 
 class TestWorkerPoolGate:
-    """A ParallelExecutor spawns its worker pool once and reuses it for
+    """A ParallelExecutor forks its workers once and reuses them for
     every ``run()`` until shut down."""
 
-    def test_three_runs_build_one_pool(self, monkeypatch):
-        pools = count_calls(monkeypatch, concurrent.futures,
-                            "ProcessPoolExecutor")
-        spec = Experiment.dynamic("gf100", "vecadd", n=64, buckets=4)
-        with ParallelExecutor(jobs=1) as executor:
+    def test_three_runs_fork_at_most_jobs_workers(self, monkeypatch):
+        forks = count_calls(monkeypatch, parallel, "_Worker")
+        specs = [Experiment.dynamic("gf100", "vecadd", n=n, buckets=4)
+                 for n in (64, 96)]
+        with ParallelExecutor(jobs=2) as executor:
             for _ in range(3):
-                assert len(executor.run([spec])) == 1
-        assert pools[0] == 1
+                assert len(executor.run(specs)) == 2
+        assert 1 <= forks[0] <= 2, forks[0]
+
+
+class TestWarmLookupGate:
+    """A warm ``repro serve`` request neither rebuilds its preset config
+    nor encodes its spec twice: the session memoizes config fingerprints
+    and hashes the spec once per lookup."""
+
+    def test_warm_broker_requests_build_no_config(self, monkeypatch):
+        spec = Experiment.dynamic("gf100", "vecadd", n=64, buckets=4)
+        session = Session(store=MemoryStore())
+        session.run(spec)
+        broker = RequestBroker(session)
+        try:
+            assert broker.run(spec.to_dict())[1] == "cache"
+            builds = count_calls(monkeypatch, repro.gpu.configs,
+                                 "_build_config")
+            keys = count_calls(monkeypatch, Experiment, "cache_key")
+            requests = 20
+            for _ in range(requests):
+                assert broker.run(spec.to_dict())[1] == "cache"
+        finally:
+            broker.close()
+        assert builds[0] == 0, builds[0]
+        assert keys[0] == requests, keys[0]
+
+
+class TestParkOnHazardGate:
+    """A warp whose next instruction waits on the one it just issued
+    leaves the ready set at issue, so the SM body does not run again
+    only to find it blocked."""
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_few_body_runs_with_a_ready_warp_issue_nothing(
+            self, monkeypatch, cell):
+        counts = {"runs": 0, "idle": 0}
+        original = FastCore.cycle
+
+        def counting(sm, now):
+            ready = any(sm._ready)
+            issued = original(sm, now)
+            counts["runs"] += 1
+            counts["idle"] += ready and not issued
+            return issued
+
+        monkeypatch.setattr(FastCore, "cycle", counting)
+        gpu, workload = build_cell(cell, "fast")
+        run_verified(gpu, workload)
+        assert counts["runs"] > 0
+        assert 100 * counts["idle"] <= counts["runs"], counts
 
 
 class TestScanCountGate:

@@ -52,50 +52,45 @@ class TestScalarAccess:
 
 
 class TestVectorAccess:
-    def test_masked_read(self):
+    """Vector access takes the active lanes' int64 byte addresses."""
+
+    def test_read_active_lanes(self):
         memory = GlobalMemory(4096)
         memory.write_word(256, 5.0)
         memory.write_word(260, 7.0)
-        addresses = np.array([256.0, 260.0, 9999999.0])
-        mask = np.array([True, True, False])
-        values = memory.read_words(addresses, mask)
-        assert list(values[:2]) == [5.0, 7.0]
-        assert values[2] == 0.0
+        values = memory.read_words(np.array([256, 260], dtype=np.int64))
+        assert list(values) == [5.0, 7.0]
 
-    def test_masked_write(self):
+    def test_write_active_lanes(self):
         memory = GlobalMemory(4096)
-        addresses = np.array([256.0, 260.0])
-        memory.write_words(addresses, np.array([1.0, 2.0]),
-                           np.array([True, False]))
+        memory.write_words(np.array([256], dtype=np.int64), np.array([1.0]))
         assert memory.read_word(256) == 1.0
         assert memory.read_word(260) == 0.0
 
-    def test_fully_masked_access_is_noop(self):
+    def test_no_active_lane_is_noop(self):
         memory = GlobalMemory(4096)
-        addresses = np.array([999999999.0])
-        values = memory.read_words(addresses, np.array([False]))
-        assert values[0] == 0.0
-        memory.write_words(addresses, np.array([1.0]), np.array([False]))
+        empty = np.zeros(0, dtype=np.int64)
+        assert len(memory.read_words(empty)) == 0
+        memory.write_words(empty, np.zeros(0))
 
     def test_out_of_range_active_lane_rejected(self):
         memory = GlobalMemory(4096)
         with pytest.raises(SimulationError):
-            memory.read_words(np.array([999999999.0]), np.array([True]))
+            memory.read_words(np.array([999999999], dtype=np.int64))
 
-    @pytest.mark.parametrize("bad", [-4.0, 4093.0])
+    @pytest.mark.parametrize("bad", [-4, 4093])
     def test_any_active_lane_out_of_range_is_rejected(self, bad):
         # 4092 is the last whole word of a 4096-byte memory; the bad lane
         # sits between two in-range ones.
         memory = GlobalMemory(4096)
-        addresses = np.array([256.0, bad, 4092.0])
-        mask = np.array([True, True, True])
+        addresses = np.array([256, bad, 4092], dtype=np.int64)
         with pytest.raises(SimulationError, match="read out of range"):
-            memory.read_words(addresses, mask)
+            memory.read_words(addresses)
         with pytest.raises(SimulationError, match="write out of range"):
-            memory.write_words(addresses, np.zeros(3), mask)
-        in_range = np.array([True, False, True])
-        memory.write_words(addresses, np.array([1.0, 2.0, 3.0]), in_range)
-        assert list(memory.read_words(addresses, in_range)) == [1.0, 0.0, 3.0]
+            memory.write_words(addresses, np.zeros(3))
+        in_range = addresses[[0, 2]]
+        memory.write_words(in_range, np.array([1.0, 3.0]))
+        assert list(memory.read_words(in_range)) == [1.0, 3.0]
 
 
 class TestBulkTransfer:

@@ -270,3 +270,30 @@ class TestCliJobsPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error: worker failed")
         assert "bogus" in err
+
+
+class TestNoWorkerOutlivesPool:
+    """``run_all`` reaps every worker it forked, however it ends."""
+
+    def test_after_run_all_returns(self):
+        Session().run_all(GRID[:2], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_after_a_worker_raises(self):
+        specs = [GRID[0], Experiment.dynamic("gf100", "vecadd", bogus=3)]
+        with pytest.raises(ExperimentError, match="worker failed"):
+            Session().run_all(specs, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK,
+                        reason="needs fork to see runtime registration")
+    def test_after_a_worker_dies(self):
+        register_workload(DyingWorkload)
+        try:
+            specs = [GRID[0], Experiment.dynamic("gf100", "die_test")]
+            with pytest.raises(ExperimentError,
+                               match="worker process died"):
+                Session().run_all(specs, jobs=2)
+        finally:
+            unregister_workload("die_test")
+        assert multiprocessing.active_children() == []

@@ -29,7 +29,7 @@ from tests.conftest import make_fast_config
 from tests.test_memory_l2_partition import (partition_config, read_request,
                                             write_request)
 from tests.test_simt_ldst import (ONE_CREDIT, FakeWarp, build_harness,
-                                  lane_addresses, make_load_instruction,
+                                  issue, lane_addresses, make_load_instruction,
                                   make_store_instruction, tick_unit)
 
 #: The longest quiet window a checkpoint ticks through.
@@ -363,7 +363,7 @@ def stalled_ldst(case):
     instruction = make_store_instruction() if store else make_load_instruction()
     addresses, mask = lane_addresses(base, count=lines, stride=stride)
     for warp_id in range(warps):
-        unit.issue(FakeWarp(warp_id), instruction, addresses, mask, 0)
+        issue(unit, FakeWarp(warp_id), instruction, addresses, mask, 0)
     return unit, memory_system
 
 

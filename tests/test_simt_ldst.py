@@ -69,6 +69,13 @@ def lane_addresses(base, count=32, stride=4):
                     dtype=np.float64), np.array([lane < count for lane in range(32)])
 
 
+def issue(unit, warp, instruction, addresses, mask, now):
+    """Issue through ``unit`` the lanes of ``addresses`` that ``mask``
+    keeps, as the SM hands them over: int64 byte addresses."""
+    return unit.issue(warp, instruction, addresses[mask].astype(np.int64),
+                      now)
+
+
 def run_cycles(unit, memory_system, cycles, start=0):
     for cycle in range(start, start + cycles):
         memory_system.cycle(cycle)
@@ -81,13 +88,13 @@ class TestCoalescing:
     def test_consecutive_words_coalesce_to_one_line(self):
         unit, _, _, _ = build_harness()
         addresses, mask = lane_addresses(0x1000, count=32, stride=4)
-        token = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        token = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert token.expected == 1
 
     def test_strided_accesses_need_multiple_lines(self):
         unit, _, _, _ = build_harness()
         addresses, mask = lane_addresses(0x1000, count=32, stride=128)
-        token = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        token = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert token.expected == 32
 
     def test_duplicate_out_of_order_lines_coalesce_ascending(self):
@@ -101,7 +108,7 @@ class TestCoalescing:
             [0x4000 + table[lane % 6] * 128 + (lane % 4) * 4
              for lane in range(31)] + [0x4000 + 20 * 128], dtype=np.float64)
         mask = np.array([lane < 31 for lane in range(32)])
-        token = unit.issue(FakeWarp(), make_load_instruction(), addresses,
+        token = issue(unit, FakeWarp(), make_load_instruction(), addresses,
                            mask, 0)
         assert unit.instruction_queue[0].remaining_lines == [
             0x4000, 0x4180, 0x4380, 0x4600]
@@ -114,7 +121,7 @@ class TestCoalescing:
         mask = np.zeros(32, dtype=bool)
         completed = []
         unit.on_load_complete = lambda token, cycle: completed.append(cycle)
-        token = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        token = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert token.expected == 1
         run_cycles(unit, memory_system, 5)
         assert completed
@@ -124,7 +131,7 @@ class TestCoalescing:
         addresses, mask = lane_addresses(0x1000)
         for _ in range(config.core.ldst_queue_size):
             assert unit.can_accept()
-            unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+            issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert not unit.can_accept()
 
 
@@ -134,10 +141,10 @@ class TestL1Behaviour:
         addresses, mask = lane_addresses(0x2000, count=32, stride=4)
         completed = []
         unit.on_load_complete = lambda token, cycle: completed.append((token, cycle))
-        first = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        first = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         now = run_cycles(unit, memory_system, 300)
         assert first.finished and not first.all_l1_hits
-        second = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, now)
+        second = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, now)
         run_cycles(unit, memory_system, 60, start=now)
         assert second.finished and second.all_l1_hits
         miss_latency = completed[0][1] - first.issue_cycle
@@ -147,9 +154,9 @@ class TestL1Behaviour:
     def test_l1_disabled_never_hits(self):
         unit, memory_system, _, _ = build_harness(l1_enabled=False)
         addresses, mask = lane_addresses(0x2000, count=32, stride=4)
-        first = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        first = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         now = run_cycles(unit, memory_system, 300)
-        second = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, now)
+        second = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, now)
         run_cycles(unit, memory_system, 300, start=now)
         assert first.finished and second.finished
         assert not second.all_l1_hits
@@ -162,13 +169,13 @@ class TestL1Behaviour:
         builder.local_alloc(4)
         local_load = builder.build()[0]
         addresses, mask = lane_addresses(0x2000, count=32, stride=4)
-        unit.issue(FakeWarp(), local_load, addresses, mask, 0)
+        issue(unit, FakeWarp(), local_load, addresses, mask, 0)
         now = run_cycles(unit, memory_system, 300)
-        second = unit.issue(FakeWarp(), local_load, addresses, mask, now)
+        second = issue(unit, FakeWarp(), local_load, addresses, mask, now)
         run_cycles(unit, memory_system, 60, start=now)
         assert second.all_l1_hits
         # A global load to the same line must not have been cached.
-        third = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask,
+        third = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask,
                            now + 60)
         run_cycles(unit, memory_system, 300, start=now + 60)
         assert third.finished and not third.all_l1_hits
@@ -176,8 +183,8 @@ class TestL1Behaviour:
     def test_mshr_merges_loads_to_same_line(self):
         unit, memory_system, tracker, _ = build_harness()
         addresses, mask = lane_addresses(0x3000, count=32, stride=4)
-        first = unit.issue(FakeWarp(0), make_load_instruction(), addresses, mask, 0)
-        second = unit.issue(FakeWarp(1), make_load_instruction(), addresses, mask, 0)
+        first = issue(unit, FakeWarp(0), make_load_instruction(), addresses, mask, 0)
+        second = issue(unit, FakeWarp(1), make_load_instruction(), addresses, mask, 0)
         run_cycles(unit, memory_system, 300)
         assert first.finished and second.finished
         assert unit.stats["mshr_merges"] >= 1
@@ -187,11 +194,11 @@ class TestL1Behaviour:
     def test_store_invalidates_l1_line(self):
         unit, memory_system, _, _ = build_harness()
         addresses, mask = lane_addresses(0x4000, count=32, stride=4)
-        load = unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        load = issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         now = run_cycles(unit, memory_system, 300)
         assert load.finished
         assert unit.l1.probe(0x4000)
-        unit.issue(FakeWarp(), make_store_instruction(), addresses, mask, now)
+        issue(unit, FakeWarp(), make_store_instruction(), addresses, mask, now)
         run_cycles(unit, memory_system, 20, start=now)
         assert not unit.l1.probe(0x4000)
 
@@ -212,7 +219,7 @@ class TestSharedMemoryTiming:
         mask = np.ones(32, dtype=bool)
         completed = []
         unit.on_load_complete = lambda token, cycle: completed.append(cycle)
-        unit.issue(FakeWarp(), instruction, addresses, mask, 0)
+        issue(unit, FakeWarp(), instruction, addresses, mask, 0)
         run_cycles(unit, memory_system, 40)
         assert completed
         assert completed[0] == config.core.shared_latency
@@ -226,7 +233,7 @@ class TestSharedMemoryTiming:
         mask = np.ones(32, dtype=bool)
         completed = []
         unit.on_load_complete = lambda token, cycle: completed.append(cycle)
-        unit.issue(FakeWarp(), instruction, addresses, mask, 0)
+        issue(unit, FakeWarp(), instruction, addresses, mask, 0)
         run_cycles(unit, memory_system, 80)
         assert completed
         assert completed[0] == config.core.shared_latency + 31
@@ -237,7 +244,7 @@ class TestEventRecording:
     def test_miss_records_full_event_sequence(self):
         unit, memory_system, tracker, _ = build_harness()
         addresses, mask = lane_addresses(0x5000, count=32, stride=4)
-        unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         run_cycles(unit, memory_system, 300)
         records = tracker.read_requests()
         assert len(records) == 1
@@ -251,9 +258,9 @@ class TestEventRecording:
     def test_hit_records_short_sequence(self):
         unit, memory_system, tracker, _ = build_harness()
         addresses, mask = lane_addresses(0x6000, count=32, stride=4)
-        unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         now = run_cycles(unit, memory_system, 300)
-        unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, now)
+        issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, now)
         run_cycles(unit, memory_system, 60, start=now)
         hit_record = tracker.read_requests()[-1]
         assert Event.ICNT_INJECT not in hit_record.timestamps
@@ -262,7 +269,7 @@ class TestEventRecording:
     def test_load_records_written(self):
         unit, memory_system, tracker, _ = build_harness()
         addresses, mask = lane_addresses(0x7000, count=32, stride=4)
-        unit.issue(FakeWarp(3), make_load_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(3), make_load_instruction(), addresses, mask, 0)
         run_cycles(unit, memory_system, 300)
         assert len(tracker.loads) == 1
         record = tracker.loads[0]
@@ -297,7 +304,7 @@ class TestStallCounters:
         # 4-9 each find the stage full.
         unit, _, _, _ = build_harness(core={"sm_base_latency": 10})
         addresses, mask = lane_addresses(0x1000, count=32, stride=128)
-        unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["l1_stage_full_cycles"] == 6
         assert len(unit.l1_access_queue) == unit.L1_STAGE_DEPTH
@@ -310,7 +317,7 @@ class TestStallCounters:
                                       l1={"mshr_max_merge": 1})
         addresses, mask = lane_addresses(0x3000, count=32, stride=4)
         for warp_id in range(3):
-            unit.issue(FakeWarp(warp_id), make_load_instruction(),
+            issue(unit, FakeWarp(warp_id), make_load_instruction(),
                        addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["mshr_merges"] == 1
@@ -323,7 +330,7 @@ class TestStallCounters:
         unit, _, _, _ = build_harness(core={"sm_base_latency": 1},
                                       l1={"mshr_entries": 1})
         addresses, mask = lane_addresses(0x1000, count=2, stride=128)
-        unit.issue(FakeWarp(), make_load_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["mshr_full_stall_cycles"] == 8
         assert unit.stats["mshr_merge_stall_cycles"] == 0
@@ -342,7 +349,7 @@ class TestStallCounters:
                        else make_load_instruction())
         addresses, mask = lane_addresses(0x1000, count=32, stride=4)
         for warp_id in range(3):
-            unit.issue(FakeWarp(warp_id), instruction, addresses, mask, 0)
+            issue(unit, FakeWarp(warp_id), instruction, addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["miss_queue_stall_cycles"] == 7
         assert unit.stats["icnt_stall_cycles"] == 8
@@ -354,7 +361,7 @@ class TestStallCounters:
         unit, memory_system, _, _ = build_harness(core={"sm_base_latency": 1},
                                                   interconnect=ONE_CREDIT)
         addresses, mask = lane_addresses(0x1000, count=2, stride=128)
-        unit.issue(FakeWarp(), make_store_instruction(), addresses, mask, 0)
+        issue(unit, FakeWarp(), make_store_instruction(), addresses, mask, 0)
         tick_unit(unit, 10)
         assert unit.stats["icnt_stall_cycles"] == 8
         assert unit.stats["miss_queue_stall_cycles"] == 0

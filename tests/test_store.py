@@ -712,3 +712,50 @@ class TestStoreCLI:
     def test_cache_requires_store(self, capsys):
         with pytest.raises(SystemExit):
             main(["cache", "stats"])
+
+
+class TestStoreKeyStability:
+    """Memoized config fingerprints leave every key as it was computed
+    afresh, and still follow a re-registered name."""
+
+    @pytest.mark.parametrize("name, spec_hash, config_hash", [
+        ("gf100", "c38091770a165374", "c061a33d626a1c0b"),
+        ("local_gt200", "8f0070667a6e4922", "49b71c67f295e8e1"),
+        ("gf100@scale_dram_latency:8", "fd20b20de2211c90",
+         "593e4c418702ceab"),
+    ])
+    def test_keys_unchanged(self, name, spec_hash, config_hash):
+        from repro.gpu import get_config
+        from repro.sensitivity import parse_transform
+
+        session = Session()
+        session.add_config(parse_transform("scale_dram_latency:8").apply(
+            get_config("gf100")), name="gf100@scale_dram_latency:8")
+        session.add_config(get_config("gt200").replace(name="local_gt200"),
+                           name="local_gt200")
+        spec = Experiment.dynamic(name, "vecadd", n=64, buckets=4)
+        for _ in range(2):  # computed, then memoized
+            key = session.store_key(spec)
+            assert (key.spec_hash, key.config_hash) == (spec_hash,
+                                                        config_hash)
+
+    def test_re_registered_name_changes_the_key(self):
+        from repro.gpu import get_config
+        from repro.gpu.configs import register_config, unregister_config
+
+        session = Session()
+        spec = Experiment.dynamic("keytest", "vecadd", n=64)
+        base = get_config("gf100").replace(name="keytest")
+        register_config(base)
+        try:
+            first = session.store_key(spec)
+            assert session.store_key(spec) == first
+            unregister_config("keytest")
+            register_config(base.replace(num_sms=base.num_sms + 1))
+            second = session.store_key(spec)
+        finally:
+            unregister_config("keytest")
+        assert second.config_hash != first.config_hash
+        assert second.spec_hash == first.spec_hash
+        session.add_config(base, name="keytest")
+        assert session.store_key(spec) == first
