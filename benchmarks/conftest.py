@@ -75,5 +75,13 @@ def run_experiments(specs, jobs: int = 1):
 
 @pytest.fixture(scope="session")
 def bfs_gf100_run():
-    """The shared BFS run behind the Figure 1 and Figure 2 benchmarks."""
+    """The shared BFS run behind the Figure 1 and Figure 2 benchmarks
+    (and the DRAM ablation's FR-FCFS row, GF100's own scheduler)."""
     return run_bfs(fermi_gf100(), FIG_BFS_NODES, FIG_BFS_DEGREE)
+
+
+@pytest.fixture(scope="session")
+def bfs_gf100_ablation_run():
+    """The shared ablation-size BFS run on GF100 as configured: the L1
+    ablation's ``fermi`` row and the warp ablation's ``gto`` row."""
+    return run_bfs(fermi_gf100(), ABLATION_BFS_NODES, ABLATION_BFS_DEGREE)

@@ -31,11 +31,8 @@ def config_with_scheduler(scheduler: str):
     return base.replace(partition=partition)
 
 
-def measure(scheduler: str):
-    # The DRAM scheduler only matters under DRAM pressure, so this ablation
-    # uses the larger (L2-exceeding) graph of the Figure 1/2 experiments.
-    gpu, workload, results = run_bfs(config_with_scheduler(scheduler),
-                                     FIG_BFS_NODES, FIG_BFS_DEGREE)
+def measure(scheduler: str, run):
+    gpu, workload, results = run
     stats = gpu.collect_stats().as_dict()
     row_hits = sum_stat(stats, "row_hits")
     row_misses = sum_stat(stats, "row_closed") + sum_stat(stats, "row_conflicts")
@@ -55,8 +52,14 @@ def measure(scheduler: str):
     }
 
 
-def test_ablation_dram_scheduler():
-    rows = [measure("frfcfs"), measure("fcfs")]
+def test_ablation_dram_scheduler(bfs_gf100_run):
+    # The DRAM scheduler only matters under DRAM pressure, so this ablation
+    # uses the larger (L2-exceeding) graph of the Figure 1/2 experiments.
+    # FR-FCFS is GF100's own scheduler, so that row reuses their run.
+    assert config_with_scheduler("frfcfs") == fermi_gf100()
+    fcfs_run = run_bfs(config_with_scheduler("fcfs"), FIG_BFS_NODES,
+                       FIG_BFS_DEGREE)
+    rows = [measure("frfcfs", bfs_gf100_run), measure("fcfs", fcfs_run)]
     formatted = [
         {
             "scheduler": row["scheduler"],

@@ -38,9 +38,8 @@ def config_with_l1_policy(policy: str):
     return base.replace(core=core, name=f"gf100-l1-{policy}")
 
 
-def measure(policy: str):
-    gpu, workload, results = run_bfs(config_with_l1_policy(policy),
-                                     ABLATION_BFS_NODES, ABLATION_BFS_DEGREE)
+def measure(policy: str, run):
+    gpu, workload, results = run
     stats = gpu.collect_stats().as_dict()
     hits = sum_stat(stats, "l1d.hits")
     misses = sum_stat(stats, "l1d.misses")
@@ -55,9 +54,15 @@ def measure(policy: str):
     }
 
 
-def test_ablation_l1_policy():
-    rows = {policy: measure(policy)
-            for policy in ("fermi", "kepler", "maxwell")}
+def test_ablation_l1_policy(bfs_gf100_ablation_run):
+    # The Fermi policy is GF100's own, so that row reuses the shared run.
+    assert (config_with_l1_policy("fermi").replace(name="gf100")
+            == fermi_gf100())
+    rows = {"fermi": measure("fermi", bfs_gf100_ablation_run)}
+    for policy in ("kepler", "maxwell"):
+        rows[policy] = measure(policy, run_bfs(
+            config_with_l1_policy(policy), ABLATION_BFS_NODES,
+            ABLATION_BFS_DEGREE))
     formatted = [
         {
             "L1 policy": policy,

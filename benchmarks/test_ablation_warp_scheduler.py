@@ -26,9 +26,8 @@ def config_with_warp_scheduler(policy: str):
     return base.replace(core=core, name=f"gf100-{policy}")
 
 
-def measure(policy: str):
-    gpu, workload, results = run_bfs(config_with_warp_scheduler(policy),
-                                     ABLATION_BFS_NODES, ABLATION_BFS_DEGREE)
+def measure(policy: str, run):
+    gpu, workload, results = run
     exposure = compute_exposure(gpu.tracker, num_buckets=16)
     loads = gpu.tracker.global_loads()
     return {
@@ -40,8 +39,13 @@ def measure(policy: str):
     }
 
 
-def test_ablation_warp_scheduler():
-    rows = [measure("gto"), measure("lrr")]
+def test_ablation_warp_scheduler(bfs_gf100_ablation_run):
+    # GTO is GF100's own warp scheduler, so that row reuses the shared run.
+    assert (config_with_warp_scheduler("gto").replace(name="gf100")
+            == fermi_gf100())
+    lrr_run = run_bfs(config_with_warp_scheduler("lrr"), ABLATION_BFS_NODES,
+                      ABLATION_BFS_DEGREE)
+    rows = [measure("gto", bfs_gf100_ablation_run), measure("lrr", lrr_run)]
     formatted = [
         {
             "warp scheduler": row["scheduler"],

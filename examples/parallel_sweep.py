@@ -56,8 +56,8 @@ def main() -> None:
     start = time.perf_counter()
     parallel = session.run_all(
         grid, jobs=args.jobs,
-        progress=lambda done, total, record:
-        print(f"  [{done}/{total}] {record.summary()}"))
+        progress=lambda done, total, record, source:
+        print(f"  [{done}/{total}] {source}: {record.summary()}"))
     parallel_seconds = time.perf_counter() - start
     print(f"parallel (jobs={args.jobs}): {parallel_seconds:.2f}s "
           f"({serial_seconds / parallel_seconds:.2f}x)")

@@ -26,7 +26,7 @@ tracker lifecycle, result caching, and JSON persistence::
 
 Ablation grids expand declaratively and round-trip through JSON::
 
-    runs = session.run_many(Experiment.grid(
+    runs = session.run_all(Experiment.grid(
         kind="dynamic", configs=["gf100", "gk104"], workloads=["bfs"],
         params={"num_nodes": [1024, 2048]}))
     runs.save("results.json")

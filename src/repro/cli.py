@@ -345,22 +345,15 @@ def _cmd_bundle_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bundle_run(args: argparse.Namespace) -> int:
     target = args.bundle
+    bundle = _load_bundle_target(target)
     if target == "-" or Path(target).is_dir():
-        bundle = _load_bundle_target(target)
+        # A bundle read from stdin or a directory joins the registry, so
+        # the session can build it by name.
         origin = ("<stdin>" if target == "-"
                   else str(Path(target).resolve()))
         tracebundle.register_bundle(bundle, source=f"bundle:{origin}",
                                     overwrite=True)
-        workload = bundle.name
-    elif target in bundle_workload_names():
-        workload = target
-    else:
-        raise BundleError(
-            f"{target!r} is neither a registered bundle workload, a "
-            f"bundle directory, nor '-' (stdin stream); see "
-            f"'repro bundle list'"
-        )
-    experiment = Experiment.dynamic(args.config, workload,
+    experiment = Experiment.dynamic(args.config, bundle.name,
                                     buckets=args.buckets)
     record = args.session.run(experiment)
     if args.json:
@@ -1208,6 +1201,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -7,11 +7,13 @@ the one worker pool, :class:`WorkerPool`, that :meth:`Session.run_all`
 :class:`~repro.store.serve.RequestBroker`) both simulate in:
 
 * workers are forked on demand, up to the pool's ``size``, and each owns
-  one long-lived :class:`~repro.experiments.Session`;
+  one long-lived :class:`~repro.experiments.Session` that only simulates
+  (:meth:`Session.simulate`);
 * specs cross the process boundary as plain dicts over a pipe and results
-  come back as artifact-free record dicts keyed by
-  :meth:`Experiment.spec_hash`, so nothing unpicklable crosses;
-* :meth:`WorkerPool.run` lends one worker to one spec, with an optional
+  come back as record dicts plus their plain-data analysis artifacts, so
+  nothing unpicklable crosses;
+* :meth:`WorkerPool.run` lends one worker to one spec and turns its reply
+  back into a :class:`~repro.experiments.RunRecord`, with an optional
   wall-clock budget after which the worker is killed; a worker that dies
   is reaped and the next spec forks a replacement;
 * :meth:`ParallelExecutor.imap` lends every worker at once, with no
@@ -103,21 +105,19 @@ def _worker_main(conn, configs: Dict[str, GPUConfig],
                  core: Optional[str]) -> None:
     """Body of one pool worker: simulate each spec dict it is sent.
 
-    The worker builds one long-lived session and replies ``(True, (spec
-    hash, record dict, light artifacts))`` — the record as data plus its
-    plain-data analysis objects, keyed by spec hash so the parent need not
-    trust completion order — or ``(False, "ErrorType: message")``.
-    ``None`` (or the parent closing the pipe) ends it, and so does the
-    parent dying without closing the pool.
+    The worker builds one long-lived session and only simulates
+    (:meth:`Session.simulate`); the parent looks specs up and adopts the
+    records.  It replies ``(True, (record dict, light artifacts))`` — the
+    record as data plus its plain-data analysis objects — or ``(False,
+    "ErrorType: message")``.  ``None`` (or the parent closing the pipe)
+    ends it, and so does the parent dying without closing the pool.
     """
     from repro.experiments.session import Session  # deferred: avoid cycle
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="repro-orphan-watch", daemon=True).start()
-    # No cache: the parent caches every record it adopts and never sends
-    # a spec twice, so a worker-side copy would only grow.
-    session = Session(cache=False, configs=configs, core=core)
+    session = Session(configs=configs, core=core)
     while True:
         try:
             spec_dict = conn.recv()
@@ -126,9 +126,8 @@ def _worker_main(conn, configs: Dict[str, GPUConfig],
         if spec_dict is None:
             return
         try:
-            experiment = Experiment.from_dict(spec_dict)
-            record = session.run(experiment)
-            reply = (True, (experiment.spec_hash(), record.to_dict(),
+            record = session.simulate(Experiment.from_dict(spec_dict))
+            reply = (True, (record.to_dict(),
                             light_artifacts(record.artifacts)))
         except Exception as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
@@ -199,8 +198,9 @@ class WorkerPool:
         self._closed = False
 
     def run(self, spec_dict: Dict[str, Any], budget: Optional[float] = None
-            ) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
-        """Simulate one spec in a worker; the worker's reply data.
+            ) -> RunRecord:
+        """Simulate one spec in a worker; returns its record, carrying
+        the plain-data analysis artifacts but no live simulator state.
 
         Waits for an idle worker (or forks one) first.  Raises
         :class:`WorkerError` when the simulation raised, the worker died,
@@ -236,7 +236,10 @@ class WorkerPool:
         ok, result = reply
         if not ok:
             raise WorkerError("raised", result)
-        return result
+        record_dict, artifacts = result
+        record = RunRecord.from_dict(record_dict)
+        record.artifacts.update(artifacts)
+        return record
 
     def _acquire(self) -> _Worker:
         with self._ready:
@@ -309,7 +312,7 @@ class ParallelExecutor:
         Worker process count; defaults to :func:`default_jobs`.  ``jobs=1``
         still goes through a (single-worker) pool, which is mainly useful
         for testing the machinery; callers that want a true in-process
-        serial run should use :meth:`Session.run` directly.
+        serial run should use :meth:`Session.run_all` with ``jobs=1``.
     configs:
         Session-local configuration overrides to install in every worker's
         session (the parallel analogue of :meth:`Session.add_config`).
@@ -404,11 +407,9 @@ class ParallelExecutor:
                 received += 1
                 if error is not None:
                     raise self._failure(specs[index], error) from error
-                spec_hash, record_dict, artifacts = result
-                record = RunRecord.from_dict(record_dict)
-                record.artifacts.update(artifacts)
-                yield CompletedRun(index=index, spec_hash=spec_hash,
-                                   record=record)
+                yield CompletedRun(index=index,
+                                   spec_hash=specs[index].spec_hash(),
+                                   record=result)
         finally:
             while True:  # cancel what no worker has taken yet
                 try:

@@ -16,7 +16,7 @@ Typical usage::
     bfs = session.run(Experiment.dynamic(
         "gf100", "bfs", num_nodes=2048, avg_degree=8))    # Figures 1/2
     print(bfs.breakdown.format_table())
-    runs = session.run_many(Experiment.grid(
+    runs = session.run_all(Experiment.grid(
         kind="dynamic", configs=["gf100", "gk104"], workloads=["bfs"],
         params={"num_nodes": [512, 1024]}))
     runs.to_json()                                        # persist
@@ -24,13 +24,14 @@ Typical usage::
 
 from __future__ import annotations
 
-import inspect
+import contextlib
 import os
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -83,39 +84,6 @@ def _config_names(experiment: Experiment) -> Tuple[str, ...]:
     if experiment.kind == "static" and not experiment.configs:
         return tuple(table_i_generations())
     return tuple(experiment.configs)
-
-
-def _progress_notifier(progress: Optional[Callable]) -> Callable:
-    """Adapt a user progress callback to the 4-arg notify convention.
-
-    New-style callbacks take ``(done, total, record, source)`` where
-    ``source`` is ``"cache"``, ``"store"``, or ``"simulated"``; legacy
-    3-arg callbacks (and anything whose signature cannot be inspected)
-    are called without the source, so existing callers keep working.
-    """
-    if progress is None:
-        return lambda done, total, record, source: None
-    wants_source = False
-    try:
-        parameters = inspect.signature(progress).parameters.values()
-        positional = sum(
-            1 for parameter in parameters
-            if parameter.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                                  inspect.Parameter.POSITIONAL_OR_KEYWORD))
-        variadic = any(
-            parameter.kind is inspect.Parameter.VAR_POSITIONAL
-            for parameter in parameters)
-        wants_source = variadic or positional >= 4
-    except (TypeError, ValueError):
-        wants_source = False
-    if wants_source:
-        return progress
-
-    def notify(done: int, total: int, record: RunRecord,
-               source: str) -> None:
-        progress(done, total, record)
-
-    return notify
 
 
 class Session:
@@ -216,34 +184,7 @@ class Session:
     def run(self, experiment: Union[Experiment, Mapping[str, Any]],
             use_cache: bool = True) -> RunRecord:
         """Run one experiment (spec object or plain dict) to a RunRecord."""
-        if not isinstance(experiment, Experiment):
-            experiment = Experiment.from_dict(experiment)
-        record, _source = self._resolve(experiment, use_cache)
-        return record
-
-    def _resolve(self, experiment: Experiment,
-                 use_cache: bool) -> tuple:
-        """Resolve one spec to ``(record, source)``.
-
-        Resolution order: :meth:`lookup` (in-memory cache, then the
-        persistent store), then simulation, whose record :meth:`adopt`
-        writes through to the store so a later run, or another process,
-        finds the result.
-        """
-        spec_hash = experiment.spec_hash()
-        record, source = self.lookup(experiment, use_cache,
-                                     spec_hash=spec_hash)
-        if record is None:
-            runner = {
-                "static": self._run_static,
-                "sweep": self._run_sweep,
-                "dynamic": self._run_dynamic,
-                "scenario": self._run_scenario,
-            }[experiment.kind]
-            record = runner(experiment)
-            self.adopt(experiment, record, spec_hash=spec_hash)
-            source = "simulated"
-        return record, source
+        return self.run_all([experiment], use_cache=use_cache)[0]
 
     def lookup(self, experiment: Experiment, use_cache: bool = True,
                store_key=None, spec_hash: Optional[str] = None) -> tuple:
@@ -282,9 +223,9 @@ class Session:
 
         Counts the simulation, writes the record through to the store
         (always, so a forced re-run refreshes it rather than bypassing
-        it) and caches its light form.  Records simulated here, in a
-        :meth:`run_all` worker or in a ``repro serve`` worker all pass
-        through this one step.
+        it) and caches its light form.  Records simulated in this
+        process, in a :meth:`run_all` worker or in a ``repro serve``
+        worker all pass through this one step.
         """
         spec_hash = (store_key.spec_hash if store_key is not None
                      else spec_hash or experiment.spec_hash())
@@ -296,101 +237,125 @@ class Session:
             self._cache[self._cache_key(experiment, spec_hash)] = \
                 self._cacheable(record)
 
-    def run_many(self, experiments: Iterable[Union[Experiment,
-                                                   Mapping[str, Any]]],
-                 use_cache: bool = True) -> RunSet:
-        """Run several experiments; returns their records as a RunSet."""
-        return RunSet(records=[self.run(experiment, use_cache=use_cache)
-                               for experiment in experiments])
-
     def run_all(self, experiments: Iterable[Union[Experiment,
                                                   Mapping[str, Any]]],
                 jobs: Optional[int] = 1, use_cache: bool = True,
-                progress: Optional[Callable[[int, int, RunRecord], None]]
-                = None) -> RunSet:
+                progress: Optional[Callable[[int, int, RunRecord, str],
+                                            None]] = None) -> RunSet:
         """Run several experiments, optionally across worker processes.
 
-        With ``jobs`` of ``None``/``0``/``1`` this is a plain serial
-        :meth:`run_many`.  With ``jobs > 1`` each spec is resolved through
-        :meth:`lookup` (cache, then store) in the parent, the misses are
-        deduplicated by spec hash and sharded across a
-        :class:`~repro.experiments.parallel.ParallelExecutor`, and each
-        simulated record is taken in with :meth:`adopt` as it streams
-        back, so an interrupted sweep keeps every completed cell.  The
-        returned :class:`RunSet` is ordered by submission index and
-        serializes byte-identically to the serial result regardless of
-        worker count or completion order.
+        Every entry point resolves specs through this one loop, whatever
+        ``jobs`` is:
+
+        1. each distinct spec is looked up once, in order of first
+           appearance (:meth:`lookup`: memory cache, then store), and
+           every hit is reported as it is found;
+        2. the misses are simulated once each (:meth:`simulate`): in
+           this process when ``jobs`` is ``None``, ``0`` or ``1``, else
+           across a :class:`~repro.experiments.parallel.ParallelExecutor`
+           of ``jobs`` workers;
+        3. each simulated record is taken in with :meth:`adopt` as it
+           arrives, so an interrupted sweep keeps every completed cell.
+
+        **Repeats.**  A spec that appears again in the same call (same
+        :meth:`Experiment.spec_hash`) is never looked up or simulated
+        again: it shares its first appearance's record and counts as the
+        lookup a caching session would make, that is a cache hit
+        reported as ``"cache"`` when caching is active (``cache=True``
+        and ``use_cache=True``), and otherwise a cache miss reported
+        with the first appearance's source.
+
+        The returned :class:`RunSet` is ordered by submission index, and
+        its counters, sources and JSON are the same for every ``jobs``.
+        Records simulated in this process keep their live ``gpu``,
+        ``workload`` and ``results``; records from workers carry only
+        the plain-data analysis artifacts.
 
         ``progress``, if given, is called as ``progress(done, total,
         record, source)`` each time a record resolves, where ``source``
-        is ``"cache"``, ``"store"``, or ``"simulated"``; callbacks that
-        accept only three positional arguments are called without the
-        source.
+        is ``"cache"``, ``"store"``, or ``"simulated"``.
         """
         specs = [experiment if isinstance(experiment, Experiment)
                  else Experiment.from_dict(experiment)
                  for experiment in experiments]
         total = len(specs)
-        notify = _progress_notifier(progress)
-        if jobs is None or jobs <= 1:
-            records = []
-            for spec in specs:
-                record, source = self._resolve(spec, use_cache)
-                records.append(record)
-                notify(len(records), total, record, source)
-            return RunSet(records=records)
-
-        from repro.experiments.parallel import ParallelExecutor
-
-        records_by_index: List[Optional[RunRecord]] = [None] * total
+        records: List[Optional[RunRecord]] = [None] * total
+        caching = self.cache_enabled and use_cache
         done = 0
-        # Resolve each spec through lookup (cache, then store) and dedupe
-        # the misses by spec hash, so each distinct simulation runs once
-        # no matter how often it appears in the grid, and only genuine
-        # misses are sharded across the worker pool.
-        pending: Dict[str, List[int]] = {}
+
+        def resolve(indices: List[int], record: RunRecord,
+                    source: str) -> None:
+            nonlocal done
+            for index in indices:
+                if index != indices[0]:  # a repeat: see the docstring
+                    if caching:
+                        self.cache_hits += 1
+                        source = "cache"
+                    else:
+                        self.cache_misses += 1
+                records[index] = record
+                done += 1
+                if progress is not None:
+                    progress(done, total, record, source)
+
+        occurrences: Dict[str, List[int]] = {}
         for index, spec in enumerate(specs):
-            spec_hash = spec.spec_hash()
-            if spec_hash in pending:
-                pending[spec_hash].append(index)
-                continue
-            record, source = self.lookup(spec, use_cache,
+            occurrences.setdefault(spec.spec_hash(), []).append(index)
+        misses: List[Tuple[str, List[int]]] = []
+        for spec_hash, indices in occurrences.items():
+            record, source = self.lookup(specs[indices[0]], use_cache,
                                          spec_hash=spec_hash)
             if record is None:
-                pending[spec_hash] = [index]
-                continue
-            records_by_index[index] = record
-            done += 1
-            notify(done, total, record, source)
-        if pending:
-            unique = [specs[indices[0]] for indices in pending.values()]
-            with ParallelExecutor(jobs=jobs,
-                                  configs=self._local_configs,
-                                  core=self.core) as executor:
-                for completed in executor.imap(unique):
-                    indices = pending[completed.spec_hash]
-                    record = completed.record
+                misses.append((spec_hash, indices))
+            else:
+                resolve(indices, record, source)
+        if misses:
+            unique = [specs[indices[0]] for _spec_hash, indices in misses]
+            with contextlib.closing(self._simulate_all(unique, jobs)) \
+                    as completed:
+                for position, record in completed:
+                    spec_hash, indices = misses[position]
                     # Write through before announcing progress, so any
                     # observer of the progress stream (or a crash right
                     # after it) finds the cell durably stored.
                     self.adopt(specs[indices[0]], record,
-                               spec_hash=completed.spec_hash)
-                    # Counter parity with the serial path: each duplicate
-                    # is a hit with caching active, else another miss.
-                    if self.cache_enabled and use_cache:
-                        self.cache_hits += len(indices) - 1
-                    else:
-                        self.cache_misses += len(indices) - 1
-                    for index in indices:
-                        records_by_index[index] = record
-                        done += 1
-                        notify(done, total, record, "simulated")
-        return RunSet(records=list(records_by_index))
+                               spec_hash=spec_hash)
+                    resolve(indices, record, "simulated")
+        return RunSet(records=records)
+
+    def _simulate_all(self, specs: List[Experiment], jobs: Optional[int]
+                      ) -> Iterator[Tuple[int, RunRecord]]:
+        """Simulate ``specs``; yields ``(position, record)`` pairs in
+        completion order (submission order when ``jobs`` is at most 1)."""
+        if jobs is None or jobs <= 1:
+            for position, spec in enumerate(specs):
+                yield position, self.simulate(spec)
+            return
+        from repro.experiments.parallel import ParallelExecutor
+
+        with ParallelExecutor(jobs=jobs, configs=self._local_configs,
+                              core=self.core) as executor:
+            for completed in executor.imap(specs):
+                yield completed.index, completed.record
+
+    def simulate(self, experiment: Experiment) -> RunRecord:
+        """Simulate ``experiment`` here and now, whatever its kind.
+
+        Neither reads nor writes the cache, the store or the counters:
+        :meth:`run_all` resolves, and pool workers call this directly.
+        """
+        runner = {
+            "static": self._run_static,
+            "sweep": self._run_sweep,
+            "dynamic": self._run_dynamic,
+            "scenario": self._run_scenario,
+        }[experiment.kind]
+        return runner(experiment)
 
     def run_json(self, text: str, use_cache: bool = True,
                  jobs: Optional[int] = 1,
-                 progress: Optional[Callable[[int, int, RunRecord], None]]
-                 = None) -> RunSet:
+                 progress: Optional[Callable[[int, int, RunRecord, str],
+                                             None]] = None) -> RunSet:
         """Run experiment spec(s) from a JSON string (object or array)."""
         import json
 
@@ -645,11 +610,7 @@ class Session:
                         f"workload {entry['workload']!r} failed "
                         f"verification on {config.name!r} in scenario"
                     )
-        end_stats = gpu.collect_stats().as_dict()
-        device_stats = {
-            key: end_stats[key] - start_stats.get(key, 0)
-            for key in sorted(end_stats)
-        }
+        device_stats = gpu._stats_delta(start_stats)
         attributed: Dict[str, float] = {}
         for result in results:
             for key, value in result.stats.items():

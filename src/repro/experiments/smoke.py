@@ -90,6 +90,18 @@ def check_registry_coverage() -> None:
 SMOKE_CORES = ("fast", "vector")
 
 
+def _core_session(session, core: str):
+    """``session`` itself when it runs on ``core``, else a session on
+    ``core`` that shares its cache setting, local configs and store."""
+    if core == session.core:
+        return session
+    from repro.experiments.session import Session  # deferred: avoid cycle
+
+    return Session(cache=session.cache_enabled,
+                   configs=session._local_configs, core=core,
+                   store=session.store)
+
+
 def smoke_workloads() -> Dict[str, Dict[str, Any]]:
     """Workload name -> smoke parameters for the whole smoke grid.
 
@@ -121,7 +133,7 @@ def smoke_experiments() -> Dict[tuple, Experiment]:
 
 
 def run_smoke(session, jobs: Optional[int] = 1,
-              progress: Optional[Callable[[int, int, RunRecord], None]]
+              progress: Optional[Callable[[int, int, RunRecord, str], None]]
               = None, cores: Optional[tuple] = None) -> Dict[str, Any]:
     """Run the whole smoke grid on every smoke core; returns a report.
 
@@ -146,14 +158,7 @@ def run_smoke(session, jobs: Optional[int] = 1,
     report_runs = []
     counters: Dict[str, int] = {}
     for core in cores:
-        if core == session.core:
-            core_session = session
-        else:
-            from repro.experiments.session import Session
-
-            core_session = Session(cache=session.cache_enabled,
-                                   configs=session._local_configs,
-                                   core=core, store=session.store)
+        core_session = _core_session(session, core)
         before = core_session.counters()
         runs = core_session.run_all(list(grid.values()), jobs=jobs,
                                     progress=progress)
@@ -204,7 +209,7 @@ def run_smoke(session, jobs: Optional[int] = 1,
 def _estimator_accuracy(session, grid, exact_runs, cores,
                         jobs: Optional[int] = 1,
                         progress: Optional[
-                            Callable[[int, int, RunRecord], None]] = None
+                            Callable[[int, int, RunRecord, str], None]] = None
                         ) -> Optional[Dict[str, Any]]:
     """Run the smoke grid on the ``estimator`` core and report its error.
 
@@ -233,11 +238,7 @@ def _estimator_accuracy(session, grid, exact_runs, cores,
         return None
     if not cores or not core_backend_is_exact(cores[0]):
         return None
-    from repro.experiments.session import Session
-
-    est_session = Session(cache=session.cache_enabled,
-                          configs=session._local_configs,
-                          core="estimator", store=session.store)
+    est_session = _core_session(session, "estimator")
     runs = est_session.run_all(list(grid.values()), jobs=jobs,
                                progress=progress)
     cells = []
@@ -304,7 +305,7 @@ def scenario_smoke_experiments() -> Dict[str, Experiment]:
 
 def run_scenario_smoke(session, jobs: Optional[int] = 1,
                        progress: Optional[
-                           Callable[[int, int, RunRecord], None]] = None,
+                           Callable[[int, int, RunRecord, str], None]] = None,
                        cores: Optional[tuple] = None) -> Dict[str, Any]:
     """Run the concurrent-kernel smoke scenarios; returns a report.
 
@@ -321,14 +322,7 @@ def run_scenario_smoke(session, jobs: Optional[int] = 1,
     grid = scenario_smoke_experiments()
     report_runs = []
     for core in cores:
-        if core == session.core:
-            core_session = session
-        else:
-            from repro.experiments.session import Session
-
-            core_session = Session(cache=session.cache_enabled,
-                                   configs=session._local_configs,
-                                   core=core, store=session.store)
+        core_session = _core_session(session, core)
         runs = core_session.run_all(list(grid.values()), jobs=jobs,
                                     progress=progress)
         for mode, record in zip(grid.keys(), runs):

@@ -102,11 +102,6 @@ class Instruction:
         return self.opcode is Opcode.BRA
 
     @property
-    def is_barrier(self) -> bool:
-        """Whether this instruction is a CTA-wide barrier."""
-        return self.opcode is Opcode.BAR
-
-    @property
     def is_exit(self) -> bool:
         """Whether this instruction terminates the executing threads."""
         return self.opcode is Opcode.EXIT

@@ -171,7 +171,8 @@ class LatencyToleranceAtlas(Codec):
         ]
 
     def run(self, session=None, jobs: Optional[int] = 1,
-            progress: Optional[Callable[[int, int, RunRecord], None]] = None,
+            progress: Optional[Callable[[int, int, RunRecord, str],
+                                        None]] = None,
             ) -> "AtlasResult":
         """Run the whole grid and fit per-row tolerance metrics.
 

@@ -222,7 +222,8 @@ class SensitivityStudy(Codec):
                                    label=label)
 
     def run(self, session=None, jobs: Optional[int] = 1,
-            progress: Optional[Callable[[int, int, RunRecord], None]] = None,
+            progress: Optional[Callable[[int, int, RunRecord, str],
+                                        None]] = None,
             ) -> "SensitivityResult":
         """Run every sweep point and fit the tolerance metrics.
 

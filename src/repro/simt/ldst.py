@@ -47,8 +47,8 @@ from repro.simt.warp import Warp
 from repro.utils.queues import BoundedQueue
 from repro.utils.stats import StatCounters
 
-_ISSUE = Event.ISSUE.column
-_L1_ACCESS = Event.L1_ACCESS.column
+_ISSUE = Event.ISSUE
+_L1_ACCESS = Event.L1_ACCESS
 
 
 class LoadToken:
@@ -64,10 +64,6 @@ class LoadToken:
         self.completed = 0
         self.complete_cycle = -1
         self.all_l1_hits = True
-
-    def register_request(self) -> None:
-        """Account for one more memory request belonging to this load."""
-        self.expected += 1
 
     def complete_one(self, cycle: int, l1_hit: bool) -> None:
         """Record completion of one request; updates the completion cycle."""
@@ -341,12 +337,13 @@ class LoadStoreUnit:
         ready_time, request = queue[0]
         if ready_time > now:
             return
-        if self.tracker.enabled:
-            request.times[_L1_ACCESS] = now
         stall = self._l1_stall(request)
         if stall is not None:
             self.stats.inc(stall)
             return
+        # Stamped once, on the attempt that moves the request: a stalled
+        # attempt's stamp would be overwritten by this one.
+        self.tracker.record_event(request, _L1_ACCESS, now)
         queue.popleft()
         caches = (self._caches_local if request.space is MemSpace.LOCAL
                   else self._caches_global)
@@ -431,8 +428,7 @@ class LoadStoreUnit:
             load_token=pending.token,
             launch_id=pending.warp.launch_id,
         )
-        if self.tracker.enabled:
-            request.times[_ISSUE] = now
+        self.tracker.record_event(request, _ISSUE, now)
         ready = now + self._sm_base
         if self.time_quantum > 1:
             ready = self._stamp(ready)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Set
 
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Pred, Reg
 from repro.utils.errors import SimulationError
 
 
@@ -71,14 +70,6 @@ class Scoreboard:
                 raise SimulationError(
                     f"release of non-busy predicate {instruction.dst}")
             self._busy_preds.discard(dst_pred)
-
-    def busy_register(self, reg: Reg) -> bool:
-        """Whether a specific general register has a pending write."""
-        return reg.index in self._busy_regs
-
-    def busy_predicate(self, pred: Pred) -> bool:
-        """Whether a specific predicate register has a pending write."""
-        return pred.index in self._busy_preds
 
     def clear(self) -> None:
         """Drop all reservations (used when a warp is retired)."""

@@ -41,8 +41,8 @@ The session — its result cache and its store — and the in-flight table
 stay in the server process.  Each genuine miss is simulated in a
 long-lived worker process of a
 :class:`~repro.experiments.parallel.WorkerPool`, the same pool
-:meth:`Session.run_all` shards grids over; it returns the record as
-data, and the broker writes it through to the store and the cache with
+:meth:`Session.run_all` shards grids over; the pool returns the
+record, and the broker writes it through to the store and the cache with
 :meth:`Session.adopt`, as ``run_all`` does.  Workers are forked on
 demand, when a miss finds none idle, up to
 :func:`~repro.experiments.parallel.default_jobs` (the CPU count), so
@@ -71,7 +71,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.parallel import WorkerError, WorkerPool
-from repro.experiments.results import RunRecord
 from repro.experiments.spec import Experiment
 from repro.utils.errors import ReproError
 
@@ -216,18 +215,15 @@ class RequestBroker:
         if record is not None:
             return record.to_dict(), source
         try:
-            _spec_hash, record_dict, artifacts = self.pool.run(
-                experiment.to_dict(), REQUEST_BUDGET_S)
+            record = self.pool.run(experiment.to_dict(), REQUEST_BUDGET_S)
         except WorkerError as exc:
             if exc.reason == "closed":
                 raise ServeError(503, "server is shutting down") from exc
             status = 504 if exc.reason == "budget" else 500
             raise ServeError(status, str(exc)) from exc
-        record = RunRecord.from_dict(record_dict)
-        record.artifacts.update(artifacts)
         with self._session_lock:
             self.session.adopt(experiment, record, store_key=store_key)
-        return record_dict, "simulated"
+        return record.to_dict(), "simulated"
 
     def close(self) -> None:
         """Stop the worker pool (idempotent)."""

@@ -41,16 +41,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 _ATTRIBUTION: List[Optional[int]] = [None]
 
 
-def set_attribution(launch_id: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the per-launch attribution context."""
-    _ATTRIBUTION[0] = launch_id
-
-
-def current_attribution() -> Optional[int]:
-    """The launch id increments are currently attributed to, if any."""
-    return _ATTRIBUTION[0]
-
-
 class StatCounters:
     """A named collection of integer/float counters.
 

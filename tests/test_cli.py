@@ -209,6 +209,18 @@ class TestCommands:
             assert core in err
             assert "available" in err and "estimator" in err
 
+    def test_ctrl_c_exits_130_without_traceback(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_configs", interrupted)
+        assert main(["configs"]) == 130
+        err = capsys.readouterr().err
+        assert err == "interrupted\n"
+        assert "Traceback" not in err
+
 
 class TestSmokeCoreMatrix:
     def test_smoke_report_counts_cores(self, capsys, monkeypatch):

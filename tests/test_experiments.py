@@ -356,7 +356,7 @@ class TestSession:
 class TestRunSetSerialization:
     def _records(self):
         session = Session()
-        return session.run_many([
+        return session.run_all([
             Experiment.dynamic("gf100", "vecadd", n=128, buckets=8),
             Experiment.sweep("gt200", accesses=48,
                              footprints=[4096, 16384]),

@@ -22,6 +22,7 @@ from repro.experiments import (
     RunSet,
     Session,
 )
+from repro.store import MemoryStore
 from repro.utils.errors import ExperimentError
 from repro.workloads import register_workload, unregister_workload
 from repro.workloads.base import LaunchSpec, Workload
@@ -152,10 +153,53 @@ class TestParallelCache:
         seen = []
         session = Session()
         session.run_all(GRID[:3], jobs=2,
-                        progress=lambda done, total, record:
+                        progress=lambda done, total, record, source:
                         seen.append((done, total, record.kind)))
         assert [done for done, _total, _kind in seen] == [1, 2, 3]
         assert all(total == 3 for _done, total, _kind in seen)
+
+
+class TestOneResolutionLoop:
+    """Serial and ``jobs=2`` runs resolve through one loop, so nothing a
+    caller can observe depends on ``jobs``: not the counters, not the
+    JSON, not the progress source reported for each spec."""
+
+    HIT = Experiment.dynamic("gf100", "vecadd", n=64, buckets=4)
+    MISS = Experiment.dynamic("gf100", "vecadd", n=96, buckets=4)
+
+    def resolve(self, grid, jobs, cache, use_cache):
+        store = MemoryStore()
+        Session(store=store).run(self.HIT)   # HIT starts as a store hit
+        session = Session(cache=cache, store=store)
+        sources = []
+        runs = session.run_all(
+            grid, jobs=jobs, use_cache=use_cache,
+            progress=lambda done, total, record, source:
+            sources.append((json.dumps(record.experiment, sort_keys=True),
+                            source)))
+        return session.counters(), runs.to_json(), sorted(sources)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("repeat", ["hit", "miss"])
+    def test_serial_and_parallel_agree(self, repeat, cache, use_cache):
+        grid = [self.HIT, self.MISS,
+                self.HIT if repeat == "hit" else self.MISS]
+        serial = self.resolve(grid, 1, cache, use_cache)
+        parallel = self.resolve(grid, 2, cache, use_cache)
+        assert parallel == serial
+
+    def test_repeat_of_a_miss_simulates_once(self):
+        counters, _json, sources = self.resolve(
+            [self.MISS, self.MISS], 1, cache=False, use_cache=True)
+        assert counters["simulated"] == 1
+        assert counters["cache_misses"] == 2
+        assert [source for _spec, source in sources] == ["simulated"] * 2
+
+    def test_inline_records_keep_live_state(self):
+        runs = Session().run_all([self.MISS, self.MISS], jobs=1)
+        assert runs[0].gpu is not None
+        assert runs[1] is runs[0]
 
 
 class TestWorkerFailures:

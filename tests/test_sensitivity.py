@@ -465,7 +465,7 @@ class TestStudyRun:
     def test_progress_callback_sees_every_point(self, small_study):
         seen = []
         small_study.run(session=Session(),
-                        progress=lambda done, total, record:
+                        progress=lambda done, total, record, source:
                         seen.append((done, total)))
         assert seen == [(index + 1, 5) for index in range(5)]
 

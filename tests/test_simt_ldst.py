@@ -14,11 +14,12 @@ from tests.conftest import make_fast_config
 
 
 def build_harness(l1_enabled=True, cache_global=True, core=None, l1=None,
-                  interconnect=None):
+                  interconnect=None, tracking=True):
     """A LoadStoreUnit wired to a real (small) memory system.
 
     ``core``, ``l1`` and ``interconnect`` are field overrides applied to
-    the matching parts of the small test configuration.
+    the matching parts of the small test configuration; ``tracking``
+    enables the shared latency tracker.
     """
     config = make_fast_config()
     l1_config = dataclasses.replace(config.core.l1, enabled=l1_enabled,
@@ -28,7 +29,7 @@ def build_harness(l1_enabled=True, cache_global=True, core=None, l1=None,
     icnt_config = dataclasses.replace(config.interconnect,
                                       **(interconnect or {}))
     config = config.replace(core=core_config, interconnect=icnt_config)
-    tracker = LatencyTracker()
+    tracker = LatencyTracker(enabled=tracking)
     memory_system = MemorySystem(
         num_sms=config.num_sms,
         mapping=config.mapping,
@@ -133,6 +134,36 @@ class TestCoalescing:
             assert unit.can_accept()
             issue(unit, FakeWarp(), make_load_instruction(), addresses, mask, 0)
         assert not unit.can_accept()
+
+
+class TestTimestamps:
+    def finished_rows(self, tracking):
+        """The timestamp rows of a missing load's requests as they finish."""
+        unit, memory_system, tracker, _ = build_harness(tracking=tracking)
+        rows = []
+        finish = tracker.finish_request
+
+        def capture(request, cycle):
+            finish(request, cycle)
+            rows.append(list(request.times))
+
+        tracker.finish_request = capture
+        addresses, mask = lane_addresses(0x2000, count=32, stride=4)
+        token = issue(unit, FakeWarp(), make_load_instruction(), addresses,
+                      mask, 0)
+        run_cycles(unit, memory_system, 300)
+        assert token.finished and rows
+        return rows
+
+    def test_enabled_tracker_stamps_every_stage(self):
+        for row in self.finished_rows(tracking=True):
+            assert row[Event.ISSUE.column] >= 0
+            assert row[Event.L1_ACCESS.column] >= 0
+            assert row[Event.COMPLETE.column] > row[Event.ISSUE.column]
+
+    def test_disabled_tracker_stamps_nothing(self):
+        for row in self.finished_rows(tracking=False):
+            assert row == [-1] * len(row)
 
 
 class TestL1Behaviour:

@@ -391,13 +391,6 @@ class TestSessionStore:
         assert sources == [(1, 3, "store"), (2, 3, "cache"),
                            (3, 3, "simulated")]
 
-    def test_legacy_three_arg_progress_still_works(self):
-        calls = []
-        Session().run_all([CHEAP],
-                          progress=lambda done, total, record:
-                          calls.append((done, total)))
-        assert calls == [(1, 1)]
-
 
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 

@@ -333,6 +333,17 @@ class TestBundleCli:
             register_workload(VecAddWorkload, overwrite=True)
         assert replayed["total_cycles"] == baseline[0].cycles
 
+    def test_bundle_run_by_registered_name(self, capsys):
+        assert main(["bundle", "run", "saxpy", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["experiment"]["workload"] == "saxpy"
+        assert workload_source("saxpy") == "bundle"
+
+    def test_bundle_run_rejects_unknown_target(self, capsys):
+        assert main(["bundle", "run", "no_such_bundle"]) == 1
+        err = capsys.readouterr().err
+        assert "'no_such_bundle' is neither a registered bundle" in err
+
     def test_bundle_dir_flag_registers_and_runs(self, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.delenv(tracebundle.BUNDLE_PATH_ENV, raising=False)
